@@ -5,14 +5,16 @@
    Usage:
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig3 table2 micro   # a subset
-     dune exec bench/main.exe -- --quick             # reduced sizes *)
+     dune exec bench/main.exe -- --quick             # reduced sizes, writes no BENCH_*.json *)
 
 module T = Proto.Types
 
 (* --- machine-readable results (BENCH_*.json) ---------------------------- *)
 
-(* Rows accumulate as experiments run; if any were produced, the harness
-   writes them out on exit so successive PRs can track the perf trajectory.
+(* Rows accumulate as experiments run; if any were produced, a full-size run
+   writes them out on exit so the committed files track the perf trajectory.
+   [--quick] and [--smoke] runs (CI) write nothing: their reduced sizes
+   would overwrite the tracked rows with numbers no reader can compare.
    One Sweep instance per output file — micro numbers, scale curves and the
    transfer sweep refresh independently and can never leak rows into each
    other (Workload.Sweep documents the stale-row bug that motivated the
@@ -490,18 +492,17 @@ let scale_point ~label ~members ~bcasts ~engine ~fabric ~hosts ~server_for =
     failwith (Printf.sprintf "scale %s/%d: batched fan-out path never used" label members);
   let ns_per_bcast = wall /. float_of_int bcasts *. 1e9 in
   let events_per_sec = float_of_int events /. wall in
-  if not !smoke then
-    scale_add "scale"
-      [
-        ("deployment", Printf.sprintf "%S" label);
-        ("members", string_of_int members);
-        ("bcasts", string_of_int bcasts);
-        ("ns_per_bcast", json_num ns_per_bcast);
-        ("minor_words_per_bcast", json_num minor_words_per_bcast);
-        ("events_per_sec", json_num events_per_sec);
-        ("sim_events", string_of_int events);
-        ("batches", string_of_int batches);
-      ];
+  scale_add "scale"
+    [
+      ("deployment", Printf.sprintf "%S" label);
+      ("members", string_of_int members);
+      ("bcasts", string_of_int bcasts);
+      ("ns_per_bcast", json_num ns_per_bcast);
+      ("minor_words_per_bcast", json_num minor_words_per_bcast);
+      ("events_per_sec", json_num events_per_sec);
+      ("sim_events", string_of_int events);
+      ("batches", string_of_int batches);
+    ];
   [
     label;
     string_of_int members;
@@ -653,18 +654,17 @@ let sharded_point ~members ~shards ~bcasts_per_writer =
   let wall = Unix.gettimeofday () -. wall0 in
   let events = Sim.Engine.events_fired engine - events0 in
   let us_per_bcast = span /. float_of_int total *. 1e6 in
-  if not !smoke then
-    scale_add "sharded"
-      [
-        ("members", string_of_int members);
-        ("groups", string_of_int groups);
-        ("shards", string_of_int shards);
-        ("bcasts", string_of_int total);
-        ("us_per_bcast", json_num us_per_bcast);
-        ("virtual_span_s", Printf.sprintf "%.4f" span);
-        ("sim_events", string_of_int events);
-        ("wall_s", Printf.sprintf "%.2f" wall);
-      ];
+  scale_add "sharded"
+    [
+      ("members", string_of_int members);
+      ("groups", string_of_int groups);
+      ("shards", string_of_int shards);
+      ("bcasts", string_of_int total);
+      ("us_per_bcast", json_num us_per_bcast);
+      ("virtual_span_s", Printf.sprintf "%.4f" span);
+      ("sim_events", string_of_int events);
+      ("wall_s", Printf.sprintf "%.2f" wall);
+    ];
   (us_per_bcast, span, events)
 
 let run_sharded () =
@@ -832,25 +832,24 @@ let run_relay () =
           end
           else None
         in
-        if not !smoke then
-          scale_add "relay"
-            ([
-               ("members", string_of_int members);
-               ("relays", string_of_int relays);
-               ("bcasts", string_of_int bcasts);
-               ("root_tx_per_bcast", Printf.sprintf "%.2f" r_tx);
-               ("ns_per_bcast", json_num r_ns);
-               ("minor_words_per_bcast", json_num r_minor);
-             ]
-            @
-            match flat with
-            | None -> []
-            | Some (f_ns, f_tx, ratio) ->
-                [
-                  ("flat_root_tx_per_bcast", Printf.sprintf "%.2f" f_tx);
-                  ("flat_ns_per_bcast", json_num f_ns);
-                  ("root_tx_reduction", Printf.sprintf "%.1f" ratio);
-                ]);
+        scale_add "relay"
+          ([
+             ("members", string_of_int members);
+             ("relays", string_of_int relays);
+             ("bcasts", string_of_int bcasts);
+             ("root_tx_per_bcast", Printf.sprintf "%.2f" r_tx);
+             ("ns_per_bcast", json_num r_ns);
+             ("minor_words_per_bcast", json_num r_minor);
+           ]
+          @
+          match flat with
+          | None -> []
+          | Some (f_ns, f_tx, ratio) ->
+              [
+                ("flat_root_tx_per_bcast", Printf.sprintf "%.2f" f_tx);
+                ("flat_ns_per_bcast", json_num f_ns);
+                ("root_tx_reduction", Printf.sprintf "%.1f" ratio);
+              ]);
         [
           string_of_int members;
           string_of_int relays;
@@ -896,21 +895,20 @@ let run_transfer_sweep () =
           failwith
             (Printf.sprintf "storm %d: encode-work ratio %.1f < 2 (misses %d)" members
                ratio r.st_misses);
-        if not !smoke then
-          transfer_add "join_storm"
-            [
-              ("members", string_of_int r.st_members);
-              ("cache_hits", string_of_int r.st_hits);
-              ("cache_misses", string_of_int r.st_misses);
-              ("encode_work_ratio", Printf.sprintf "%.1f" ratio);
-              ("storm_virtual_s", Printf.sprintf "%.4f" r.st_span);
-              ("state_bytes", string_of_int r.st_bytes);
-              ("minor_words_per_join", json_num r.st_minor_words_per_join);
-              ("pool_leases", string_of_int r.st_pool.Proto.Pool.leases);
-              ("pool_hits", string_of_int r.st_pool.Proto.Pool.hits);
-              ("pool_misses", string_of_int r.st_pool.Proto.Pool.misses);
-              ("pool_high_water", string_of_int r.st_pool.Proto.Pool.high_water);
-            ];
+        transfer_add "join_storm"
+          [
+            ("members", string_of_int r.st_members);
+            ("cache_hits", string_of_int r.st_hits);
+            ("cache_misses", string_of_int r.st_misses);
+            ("encode_work_ratio", Printf.sprintf "%.1f" ratio);
+            ("storm_virtual_s", Printf.sprintf "%.4f" r.st_span);
+            ("state_bytes", string_of_int r.st_bytes);
+            ("minor_words_per_join", json_num r.st_minor_words_per_join);
+            ("pool_leases", string_of_int r.st_pool.Proto.Pool.leases);
+            ("pool_hits", string_of_int r.st_pool.Proto.Pool.hits);
+            ("pool_misses", string_of_int r.st_pool.Proto.Pool.misses);
+            ("pool_high_water", string_of_int r.st_pool.Proto.Pool.high_water);
+          ];
         [
           string_of_int r.st_members;
           string_of_int r.st_hits;
@@ -947,23 +945,22 @@ let run_transfer_sweep () =
         if speedup < 3.0 then
           failwith
             (Printf.sprintf "durable %dB: group-commit speedup %.1fx < 3x" size speedup);
-        if not !smoke then
-          transfer_add "durable_multicast"
-            [
-              ("record_bytes", string_of_int size);
-              ("records", string_of_int records);
-              ("rps_per_record_seek", Printf.sprintf "%.1f" off.du_rps);
-              ("rps_group_commit", Printf.sprintf "%.1f" on_.du_rps);
-              ("speedup", Printf.sprintf "%.1f" speedup);
-              ("physical_writes", string_of_int on_.du_physical_writes);
-              ("records_committed", string_of_int on_.du_records_committed);
-              ("max_batch_records", string_of_int on_.du_max_batch);
-              ("minor_words_per_bcast", json_num on_.du_minor_words_per_bcast);
-              ("pool_leases", string_of_int on_.du_pool.Proto.Pool.leases);
-              ("pool_hits", string_of_int on_.du_pool.Proto.Pool.hits);
-              ("pool_misses", string_of_int on_.du_pool.Proto.Pool.misses);
-              ("pool_high_water", string_of_int on_.du_pool.Proto.Pool.high_water);
-            ];
+        transfer_add "durable_multicast"
+          [
+            ("record_bytes", string_of_int size);
+            ("records", string_of_int records);
+            ("rps_per_record_seek", Printf.sprintf "%.1f" off.du_rps);
+            ("rps_group_commit", Printf.sprintf "%.1f" on_.du_rps);
+            ("speedup", Printf.sprintf "%.1f" speedup);
+            ("physical_writes", string_of_int on_.du_physical_writes);
+            ("records_committed", string_of_int on_.du_records_committed);
+            ("max_batch_records", string_of_int on_.du_max_batch);
+            ("minor_words_per_bcast", json_num on_.du_minor_words_per_bcast);
+            ("pool_leases", string_of_int on_.du_pool.Proto.Pool.leases);
+            ("pool_hits", string_of_int on_.du_pool.Proto.Pool.hits);
+            ("pool_misses", string_of_int on_.du_pool.Proto.Pool.misses);
+            ("pool_high_water", string_of_int on_.du_pool.Proto.Pool.high_water);
+          ];
         [
           string_of_int size;
           Printf.sprintf "%.0f" off.du_rps;
@@ -1056,7 +1053,7 @@ let () =
           false
         end
         else if a = "--smoke" then begin
-          (* CI stage: smallest sizes, no BENCH_scale.json rewrite. *)
+          (* CI stage: smallest sizes. *)
           smoke := true;
           false
         end
@@ -1079,5 +1076,7 @@ let () =
             experiments;
           exit 1)
     selected;
-  write_json_results ();
+  if !quick || !smoke then
+    Format.printf "@.--quick/--smoke: BENCH_*.json left unchanged@."
+  else write_json_results ();
   Format.printf "@.done: %d experiment group(s).@." (List.length selected)

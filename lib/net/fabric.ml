@@ -26,7 +26,6 @@ type t = {
   mutable batches : int;
   mutable extensions : (string * ext) list;
   mutable free_batches : batch list; (* recycled transmit_many state *)
-  mutable order_scratch : int array; (* multi-worker NIC ordering, issue-time only *)
 }
 
 (* Recycled per-fan-out state for [transmit_many]: scratch arrays sized to
@@ -42,7 +41,9 @@ and batch = {
   mutable b_issued_at : float;
   mutable b_remaining : int;
   mutable b_dsts : Host.t array;
-  mutable b_fin : float array; (* sender-CPU finish, issue scratch *)
+  (* Per recipient: sender-CPU finish at issue, then the stage-1 instant
+     (the run's keys), then the deserialize finish once stage 1 fires. *)
+  mutable b_fin : float array;
   mutable b_until : float array; (* sender-epoch guard horizon per recipient *)
   mutable b_deser : float array;
   mutable b_kind : int array; (* 0 = deliver, 1 = drop (partition/loss) *)
@@ -72,7 +73,6 @@ let create ?(config = lan) engine =
     batches = 0;
     extensions = [];
     free_batches = [];
-    order_scratch = [||];
   }
 
 let find_ext t name = List.assoc_opt name t.extensions
@@ -175,19 +175,21 @@ let transmit t ~src ~dst ~size ?(on_dropped = ignore) k =
    pays. Correctness hinges on the accumulator model being closed-form: a
    same-instant fan-out through [transmit] reserves every recipient's
    serialize slice synchronously at issue time (recipient order), then each
-   exec-finish event reserves the NIC in heap order — i.e. stable-sorted by
-   exec finish time. We replay exactly those reservations inline, so delivery
-   timestamps are byte-identical to the chained path. Deliberate divergences
-   (documented in DESIGN.md): packet/byte counters are charged and loss /
-   jitter randomness is drawn at issue time rather than at NIC-finish time,
-   and the partition check moves to issue time; a sender crash between issue
-   and NIC-finish is detected via the host's epoch-transition history and
-   silences the affected deliveries just like the chained epoch guard.
+   exec-finish event reserves the NIC in heap order — i.e. by exec finish
+   time, which is recipient order. We replay exactly those reservations
+   inline, so delivery timestamps are byte-identical to the chained path.
+   Deliberate divergences (documented in DESIGN.md): packet/byte counters
+   are charged and loss / jitter randomness is drawn at issue time rather
+   than at NIC-finish time, and the partition check moves to issue time; a
+   sender crash between issue and NIC-finish is detected via the host's
+   epoch-transition history and silences the affected deliveries just like
+   the chained epoch guard.
 
    The per-recipient state lives in a recycled [batch] record (leased from
-   [free_batches] at issue, re-shelved when the countdown reaches zero) and
-   both delivery stages are pooled indexed events, so the steady-state loop
-   allocates neither closures nor event records per recipient. *)
+   [free_batches] at issue, re-shelved when the countdown reaches zero).
+   Stage 1 of every recipient is one engine run and stage 2 a pooled indexed
+   event, so the steady-state loop allocates neither closures nor event
+   records per recipient. *)
 
 (* Stage 1 fires at the delivery (or drop-report) timestamp: sender-epoch
    guard, then either the drop callback or the receiver-CPU reservation
@@ -206,8 +208,8 @@ let rec batch_stage1 b i =
   else begin
     let dst = b.b_dsts.(i) in
     if Host.is_alive dst then begin
-      (* [b_fin] is issue-time scratch, dead by delivery time: reuse the
-         slot for the deserialize finish so no float return is boxed. *)
+      (* The engine is done with this slot's stage-1 instant: reuse it for
+         the deserialize finish so no float return is boxed. *)
       Host.reserve_cpu_slot dst ~costs:b.b_deser ~into:b.b_fin i;
       b.b_dst_epoch.(i) <- Host.epoch dst;
       Sim.Engine.schedule_pooled b.b_fab.engine ~at:b.b_fin.(i) b.b_stage2 i
@@ -301,41 +303,25 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
     in
     let fin = b.b_fin in
     Host.reserve_cpu_many src ~cost:serialize_cost ~n ~into:fin;
-    (* With one worker the finish times are already increasing in recipient
-       order; with several, NIC reservation order is heap order over the
-       exec-finish events: stable sort on (finish time, recipient index). *)
-    let sorted = cpu_src.Host.workers > 1 in
-    if sorted then begin
-      if Array.length t.order_scratch < n then
-        t.order_scratch <- Array.make (max 16 n) 0;
-      let order = t.order_scratch in
-      for i = 0 to n - 1 do
-        order.(i) <- i
-      done;
-      (* [Array.sort] sorts the whole array, so take an exact-length view;
-         multi-worker senders are rare enough that this copy is off the
-         single-worker hot path entirely. *)
-      let sub = Array.sub order 0 n in
-      Array.sort
-        (fun a b ->
-          let c = Float.compare fin.(a) fin.(b) in
-          if c <> 0 then c else Int.compare a b)
-        sub;
-      Array.blit sub 0 order 0 n
-    end;
+    (* NIC reservation order is heap order over the chained path's
+       exec-finish events, i.e. (finish time, recipient index). That is
+       recipient order even for multi-worker senders: each reservation takes
+       the earliest-free worker, whose free time never decreases from one
+       reservation to the next, so [fin] is nondecreasing in [i]. *)
     (* The common LAN shape — no loss, no partition, no jitter, no latency
        overrides — skips every rare-feature check (and the float boxing
        each would cost) per recipient: one NIC slot reservation and one
-       boxed delivery timestamp. The slow path below is byte-identical for
-       it; this is purely an allocation fast path. *)
+       stage-1 instant. The slow path below is byte-identical for it; this
+       is purely an allocation fast path. *)
     let plain =
       t.config.loss_rate = 0.0 && t.config.jitter = 0.0
       && (match t.component_of with None -> true | Some _ -> false)
       && Hashtbl.length t.latency_overrides = 0
     in
+    (* Each recipient's stage-1 instant replaces its serialize finish in
+       [fin], after the NIC reservation has read it. *)
     let until = b.b_until in
-    for j = 0 to n - 1 do
-      let i = if sorted then t.order_scratch.(j) else j in
+    for i = 0 to n - 1 do
       let dst = b.b_dsts.(i) in
       let cpu_dst = Host.cpu dst in
       b.b_deser.(i) <-
@@ -343,20 +329,17 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
       if Host.name src = Host.name dst then begin
         (* Loopback: skip NIC and network, deliver at serialize finish. *)
         b.b_kind.(i) <- 0;
-        b.b_until.(i) <- fin.(i);
-        Sim.Engine.schedule_pooled t.engine ~at:fin.(i) b.b_stage1 i
+        until.(i) <- fin.(i)
       end
       else if plain then begin
         Host.reserve_nic_slot src ~size ~fins:fin ~into:until i;
         t.packets <- t.packets + 1;
         t.bytes <- t.bytes + size;
         b.b_kind.(i) <- 0;
-        Sim.Engine.schedule_pooled t.engine
-          ~at:(until.(i) +. t.config.base_latency)
-          b.b_stage1 i
+        fin.(i) <- until.(i) +. t.config.base_latency
       end
       else begin
-        let nic_fin = Host.reserve_nic_from src ~from:fin.(i) ~size in
+        Host.reserve_nic_slot src ~size ~fins:fin ~into:until i;
         t.packets <- t.packets + 1;
         t.bytes <- t.bytes + size;
         let partitioned = not (same_component t src dst) in
@@ -369,22 +352,23 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
           (* The chained path reports partition/loss drops at NIC-finish
              time; keep that so retransmit timers fire identically. *)
           b.b_kind.(i) <- 1;
-          b.b_until.(i) <- nic_fin;
-          Sim.Engine.schedule_pooled t.engine ~at:nic_fin b.b_stage1 i
+          fin.(i) <- until.(i)
         end
         else begin
+          b.b_kind.(i) <- 0;
           let delay =
             latency t src dst
             +.
             if t.config.jitter > 0.0 then Sim.Rng.float t.rng t.config.jitter
             else 0.0
           in
-          b.b_kind.(i) <- 0;
-          b.b_until.(i) <- nic_fin;
-          Sim.Engine.schedule_pooled t.engine ~at:(nic_fin +. delay) b.b_stage1 i
+          fin.(i) <- until.(i) +. delay
         end
       end
-    done
+    done;
+    (* One heap entry for the whole fan-out; the engine orders the stage-1
+       instants, which loss, jitter or a loopback recipient leave unsorted. *)
+    Sim.Engine.schedule_run t.engine ~at:fin ~n b.b_stage1
   end
   else on_complete () (* nothing issued: the caller may reclaim at once *)
 

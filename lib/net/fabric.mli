@@ -114,7 +114,9 @@ val transmit_many :
     are identical to issuing [Array.length dsts] chained {!transmit} calls at
     the same instant: the sender's CPU-worker and NIC FIFO finish times are
     computed in closed form at issue time, collapsing the three chained heap
-    events per recipient into a single scheduled delivery each. Divergences
+    events per recipient into a single delivery event each, and those are
+    issued together as one {!Sim.Engine.schedule_run}: the event heap holds
+    one entry per fan-out, not one per recipient. Divergences
     from the chained path (all invisible to protocol logic in the common
     case): packet counters are charged and loss/jitter randomness is drawn at
     issue time rather than NIC-finish time, and the partition check happens

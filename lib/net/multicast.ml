@@ -32,7 +32,9 @@ and mbatch = {
   mutable mb_payload : Payload.t;
   mutable mb_remaining : int;
   mutable mb_subs : subscription array;
-  mutable mb_scratch : float array; (* per-target deser cost / finish slot *)
+  (* Per target: the stage-1 instant (the run's keys), then the deser cost
+     and finish once stage 1 fires. *)
+  mutable mb_scratch : float array;
   mutable mb_user_complete : unit -> unit;
   mutable mb_stage1 : int -> unit;
   mutable mb_stage2 : int -> unit;
@@ -247,18 +249,19 @@ let send t ~src ~size ?(on_complete = ignore_u) payload =
     end
     else begin
       mb.mb_remaining <- !cnt;
+      let at = mb.mb_scratch in
       if Fabric.has_latency_overrides t.fabric then
         for i = 0 to !cnt - 1 do
-          let delay = Fabric.latency t.fabric src mb.mb_subs.(i).m_host in
-          Sim.Engine.schedule_pooled engine ~at:(nic_fin +. delay) mb.mb_stage1 i
+          at.(i) <- nic_fin +. Fabric.latency t.fabric src mb.mb_subs.(i).m_host
         done
       else begin
-        (* Uniform latency: every target propagates at the same instant, so
-           one boxed timestamp serves the whole fan-out. *)
-        let at = nic_fin +. (Fabric.config t.fabric).Fabric.base_latency in
+        (* Uniform latency: one instant for every target, which the run
+           boxes once for the whole fan-out. *)
+        let uniform = nic_fin +. (Fabric.config t.fabric).Fabric.base_latency in
         for i = 0 to !cnt - 1 do
-          Sim.Engine.schedule_pooled engine ~at mb.mb_stage1 i
+          at.(i) <- uniform
         done
-      end
+      end;
+      Sim.Engine.schedule_run engine ~at ~n:!cnt mb.mb_stage1
     end
   end

@@ -10,28 +10,48 @@ type time = float
    cannot corrupt [pending]. *)
 type state = Pending | Cancelled | Fired
 
-(* Two flavors share the record and the heap:
+(* Three flavors share the record and the heap:
 
-   - classic events ([pooled = false]) carry a [unit -> unit] closure and
-     double as their own cancellation handle, exactly as before;
-   - pooled events ([pooled = true]) carry an [int -> unit] callback plus
-     an integer argument, are not cancellable, and their records are
-     recycled through a freelist after firing — the steady-state fan-out
-     loop schedules millions of them without allocating one record.
+   - classic events carry a [unit -> unit] closure and double as their own
+     cancellation handle, exactly as before;
+   - pooled events carry an [int -> unit] callback plus an integer argument,
+     are not cancellable, and their records are recycled through a freelist
+     after firing — the steady-state fan-out loop schedules millions of
+     them without allocating one record;
+   - a run is n pooled events behind one record: the record is keyed as
+     the run's earliest unfired member and, when that member fires, is
+     re-keyed in place as the next one (see [schedule_run]).
 
-   Recycling is safe precisely because pooled events have no identity:
-   [schedule_pooled] returns unit, so no [event_id] to a recycled record
-   can escape and alias its next incarnation. The [at] field stays a
+   Recycling is safe precisely because pooled events and runs have no
+   identity: neither returns an [event_id], so no handle to a recycled
+   record can escape and alias its next incarnation. The [at] field stays a
    boxed-float pointer — reusing a record stores the caller's already-
    boxed float, so reuse allocates nothing. *)
 type event = {
   mutable at : time;
   mutable seq : int; (* tie-break: schedule order *)
   mutable run : unit -> unit;
-  mutable run_i : int -> unit; (* pooled events only *)
+  mutable run_i : int -> unit; (* pooled events and runs only *)
   mutable arg : int;
   mutable st : state;
-  pooled : bool;
+  kind : kind;
+}
+
+and kind = Classic | Pooled | Run of run
+
+(* Member j of a run fires [run_i j] at [r_at.(j)], the caller's scratch,
+   read until member j fires. Members fire in (time, j) order: member
+   [r_k] when the times are already in that order ([r_sorted]), else member
+   [r_order.(r_k)], an order the record keeps (and grows) across reuse.
+   One seqno serves every member: events scheduled before the run have
+   smaller ones and events scheduled after it larger ones, which is all the
+   tie-break against them needs. *)
+and run = {
+  mutable r_at : float array;
+  mutable r_sorted : bool;
+  mutable r_order : int array;
+  mutable r_k : int;
+  mutable r_n : int;
 }
 
 type event_id = event
@@ -44,7 +64,7 @@ module Heap = struct
 
   let dummy =
     { at = 0.0; seq = 0; run = ignore; run_i = ignore_i; arg = 0; st = Fired;
-      pooled = false }
+      kind = Classic }
 
   let create () = { a = Array.make 64 dummy; len = 0 }
 
@@ -103,16 +123,35 @@ module Heap = struct
     top
 end
 
+(* Freelist of fired pooled-event or run records, an array-stack: push and
+   pop are two field stores, no list cells. *)
+type freelist = { mutable items : event array; mutable n : int }
+
+(* Precondition: [fl.n > 0]. *)
+let take fl =
+  fl.n <- fl.n - 1;
+  let e = fl.items.(fl.n) in
+  fl.items.(fl.n) <- Heap.dummy;
+  e
+
+let recycle fl e =
+  let cap = Array.length fl.items in
+  if fl.n = cap then begin
+    let bigger = Array.make (2 * cap) Heap.dummy in
+    Array.blit fl.items 0 bigger 0 cap;
+    fl.items <- bigger
+  end;
+  fl.items.(fl.n) <- e;
+  fl.n <- fl.n + 1
+
 type t = {
   heap : Heap.t;
   mutable clock : time;
   mutable next_seq : int;
-  mutable live : int; (* scheduled and not cancelled *)
+  mutable live : int; (* scheduled and not cancelled, run members counted *)
   mutable fired : int; (* events executed since creation *)
-  (* Freelist of fired pooled-event records, an array-stack: push and pop
-     are two field stores, no list cells. *)
-  mutable free : event array;
-  mutable nfree : int;
+  free : freelist; (* pooled events *)
+  free_runs : freelist; (* run records, each keeping its [run] cell *)
   root_rng : Rng.t;
 }
 
@@ -123,8 +162,8 @@ let create ?(seed = 1L) () =
     next_seq = 0;
     live = 0;
     fired = 0;
-    free = Array.make 64 Heap.dummy;
-    nfree = 0;
+    free = { items = Array.make 64 Heap.dummy; n = 0 };
+    free_runs = { items = Array.make 16 Heap.dummy; n = 0 };
     root_rng = Rng.create seed;
   }
 
@@ -137,7 +176,7 @@ let schedule_at t at run =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let e =
-    { at; seq; run; run_i = ignore_i; arg = 0; st = Pending; pooled = false }
+    { at; seq; run; run_i = ignore_i; arg = 0; st = Pending; kind = Classic }
   in
   Heap.push t.heap e;
   t.live <- t.live + 1;
@@ -148,31 +187,99 @@ let schedule_pooled t ~at run_i arg =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let e =
-    if t.nfree > 0 then begin
-      t.nfree <- t.nfree - 1;
-      let e = t.free.(t.nfree) in
-      t.free.(t.nfree) <- Heap.dummy;
+    if t.free.n > 0 then begin
+      let e = take t.free in
       e.at <- at;
       e.seq <- seq;
       e.run_i <- run_i;
       e.arg <- arg;
-      e.st <- Pending;
       e
     end
-    else { at; seq; run = ignore; run_i; arg; st = Pending; pooled = true }
+    else { at; seq; run = ignore; run_i; arg; st = Pending; kind = Pooled }
   in
   Heap.push t.heap e;
   t.live <- t.live + 1
 
-let recycle t e =
-  let cap = Array.length t.free in
-  if t.nfree = cap then begin
-    let bigger = Array.make (2 * cap) Heap.dummy in
-    Array.blit t.free 0 bigger 0 cap;
-    t.free <- bigger
-  end;
-  t.free.(t.nfree) <- e;
-  t.nfree <- t.nfree + 1
+(* Firing order of a run: usually the times are in order already (one O(n)
+   pass); otherwise an in-place heapsort of member indices on the total
+   order (time, j). Top-level and closure-free, so it allocates nothing
+   unless the record's order array must grow. *)
+let rec in_order (at : float array) n j =
+  j >= n || (at.(j - 1) <= at.(j) && in_order at n (j + 1))
+
+let key_lt (keys : float array) a b =
+  keys.(a) < keys.(b) || (keys.(a) = keys.(b) && a < b)
+
+let rec sift keys order len i =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let r = l + 1 in
+    let m = if key_lt keys order.(i) order.(l) then l else i in
+    let m = if r < len && key_lt keys order.(m) order.(r) then r else m in
+    if m <> i then begin
+      let tmp = order.(m) in
+      order.(m) <- order.(i);
+      order.(i) <- tmp;
+      sift keys order len m
+    end
+  end
+
+let order_run r =
+  let n = r.r_n in
+  r.r_sorted <- in_order r.r_at n 1;
+  if not r.r_sorted then begin
+    if Array.length r.r_order < n then
+      r.r_order <- Array.make (max n (2 * Array.length r.r_order)) 0;
+    let keys = r.r_at and order = r.r_order in
+    for j = 0 to n - 1 do
+      order.(j) <- j
+    done;
+    for i = (n / 2) - 1 downto 0 do
+      sift keys order n i
+    done;
+    for len = n - 1 downto 1 do
+      let tmp = order.(len) in
+      order.(len) <- order.(0);
+      order.(0) <- tmp;
+      sift keys order len 0
+    done
+  end
+
+(* Key the run record as its [k]-th member to fire. Consecutive members at
+   one instant keep the boxed time already in the record, so a same-instant
+   run boxes once rather than once per member. *)
+let arm e r k =
+  let j = if r.r_sorted then k else r.r_order.(k) in
+  r.r_k <- k;
+  if r.r_at.(j) <> e.at then e.at <- r.r_at.(j);
+  e.arg <- j
+
+let schedule_run t ~at ~n run_i =
+  if n > 0 then begin
+    for j = 0 to n - 1 do
+      if at.(j) < t.clock then at.(j) <- t.clock
+    done;
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    let e =
+      if t.free_runs.n > 0 then take t.free_runs
+      else
+        let r = { r_at = at; r_sorted = true; r_order = [||]; r_k = 0; r_n = 0 } in
+        { at = t.clock; seq; run = ignore; run_i; arg = 0; st = Pending;
+          kind = Run r }
+    in
+    (match e.kind with
+    | Run r ->
+        r.r_at <- at;
+        r.r_n <- n;
+        order_run r;
+        arm e r 0
+    | Classic | Pooled -> ());
+    e.seq <- seq;
+    e.run_i <- run_i;
+    Heap.push t.heap e;
+    t.live <- t.live + n
+  end
 
 let schedule t ~delay run =
   let delay = if delay < 0.0 then 0.0 else delay in
@@ -190,31 +297,64 @@ let periodic t ~every f =
   let rec tick () = if f () then ignore (schedule t ~delay:every tick) in
   ignore (schedule t ~delay:every tick)
 
+let advance t e =
+  t.live <- t.live - 1;
+  t.fired <- t.fired + 1;
+  t.clock <- e.at
+
+(* Fire the run member at the heap top. The record is re-keyed as the next
+   member and sifted down in place — that member's key is the least of the
+   run's remaining ones, so pop order matches n separate pooled events —
+   or, after the last member, popped and shelved. Either way the callback
+   and argument are read out first: the callback may schedule a new run
+   into this very record. *)
+let fire_member t e r =
+  advance t e;
+  let f = e.run_i in
+  let j = e.arg in
+  let k = r.r_k + 1 in
+  if k < r.r_n then begin
+    arm e r k;
+    Heap.sift_down t.heap.Heap.a t.heap.Heap.len 0
+  end
+  else begin
+    ignore (Heap.pop_top t.heap);
+    r.r_at <- [||];
+    e.run_i <- ignore_i;
+    recycle t.free_runs e
+  end;
+  f j
+
 let rec step t =
   if Heap.is_empty t.heap then false
   else
-    let e = Heap.pop_top t.heap in
-    (
-      match e.st with
-      | Cancelled -> step t
-      | Fired -> step t (* unreachable: a fired event is never re-pushed *)
-      | Pending ->
-          e.st <- Fired;
-          t.live <- t.live - 1;
-          t.fired <- t.fired + 1;
-          t.clock <- e.at;
-          if e.pooled then begin
-            (* Read out the callback, recycle the record, then fire: the
-               callback itself may schedule the next pooled event into
-               this very record. *)
-            let f = e.run_i in
-            let a = e.arg in
-            e.run_i <- ignore_i;
-            recycle t e;
-            f a
-          end
-          else e.run ();
-          true)
+    let e = Heap.top t.heap in
+    match e.kind with
+    | Run r ->
+        fire_member t e r;
+        true
+    | Pooled ->
+        (* Pooled events are never cancelled. Read out the callback,
+           recycle the record, then fire: the callback itself may schedule
+           the next pooled event into this very record. *)
+        ignore (Heap.pop_top t.heap);
+        advance t e;
+        let f = e.run_i in
+        let a = e.arg in
+        e.run_i <- ignore_i;
+        recycle t.free e;
+        f a;
+        true
+    | Classic -> (
+        ignore (Heap.pop_top t.heap);
+        match e.st with
+        | Cancelled -> step t
+        | Fired -> step t (* unreachable: a fired event is never re-pushed *)
+        | Pending ->
+            e.st <- Fired;
+            advance t e;
+            e.run ();
+            true)
 
 let run ?until t =
   match until with

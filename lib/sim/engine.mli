@@ -40,6 +40,28 @@ val schedule_pooled : t -> at:time -> (int -> unit) -> int -> unit
     their own (e.g. a host-epoch check) and use [f]'s argument to index
     it. Ordering is identical to {!schedule_at} at equal timestamps. *)
 
+val schedule_run : t -> at:float array -> n:int -> (int -> unit) -> unit
+(** [schedule_run t ~at ~n f] schedules a {e run}: the [n] pooled events
+    [f j] at [at.(j)], for [j = 0 .. n-1], fired in the same order, at the
+    same clock values, as the [n] calls [schedule_pooled t ~at:at.(j) f j]
+    made in order of [j]. Each member's key is fixed now: times earlier
+    than [now] are clamped in place, and ties with any other event break by
+    scheduling order, as they would for the separate calls: the run takes
+    one seqno, and every event scheduled before it has a smaller one, every
+    event after it a larger one.
+
+    Only the run's earliest unfired member sits in the event heap. The
+    engine orders the members by [(at.(j), j)] — an O(n) check when [at] is
+    already in that order, an in-place sort otherwise — and firing one
+    member re-keys the same heap record as the next. Because that record
+    is always the run's least unfired member, pop order is exactly that of
+    the separate events, while the heap holds one entry per run instead of
+    one per member. [at] is the caller's scratch: the engine reads [at.(j)]
+    until member [j] fires, so the caller may reuse a slot from then on but
+    not before. {!pending} and {!events_fired} count the [n] members as [n]
+    events. Like pooled events, runs are not cancellable, and their records
+    are recycled along with the engine's ordering scratch. *)
+
 val cancel : t -> event_id -> unit
 (** Cancel a pending event in O(1). Cancelling an event that already fired,
     or cancelling the same event twice, is a no-op — in particular it never

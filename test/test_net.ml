@@ -34,6 +34,32 @@ let test_multiworker_parallelism () =
     [ 0.010; 0.010; 0.010; 0.010 ]
     (List.rev !finished)
 
+(* [Fabric.transmit_many] reserves the NIC in recipient order because a
+   batch of equal-cost CPU reservations finishes in nondecreasing order on
+   any worker count and any prior load: each takes the earliest-free
+   worker, and that earliest free time never decreases. *)
+let prop_cpu_batch_finishes_in_order =
+  QCheck.Test.make ~name:"reserve_cpu_many finishes are nondecreasing" ~count:300
+    QCheck.(
+      quad (int_range 1 6)
+        (list_of_size Gen.(int_range 0 12) (float_range 0.0 0.01))
+        (float_range 0.0 0.02) (float_range 0.0 0.005))
+    (fun (workers, prior, start, cost) ->
+      let engine, fabric = make_world () in
+      let cpu = { Net.Host.pentium_ii_quad with workers } in
+      let h = Net.Fabric.add_host fabric ~name:"h" ~cpu () in
+      List.iter (fun c -> ignore (Net.Host.reserve_cpu h ~cost:c)) prior;
+      let fins = Array.make 9 nan in
+      ignore
+        (Sim.Engine.schedule_at engine start (fun () ->
+             Net.Host.reserve_cpu_many h ~cost ~n:9 ~into:fins));
+      Sim.Engine.run engine;
+      let ok = ref true in
+      for i = 1 to 8 do
+        if not (fins.(i - 1) <= fins.(i)) then ok := false
+      done;
+      !ok)
+
 let test_crash_drops_queued_work () =
   let engine, fabric = make_world () in
   let h = Net.Fabric.add_host fabric ~name:"h" () in
@@ -111,8 +137,8 @@ let test_partition_blocks_and_heals () =
 (* Identical worlds fed either N chained [transmit] calls at one instant or a
    single [transmit_many]; per-recipient delivery (and drop) timestamps must
    match exactly. The topology deliberately stresses every equivalence
-   subtlety: multi-worker sender (NIC reservation order = stable sort on exec
-   finish), mixed destination profiles, a repeated destination host, a
+   subtlety: multi-worker sender (NIC reservation order = exec-finish
+   order), mixed destination profiles, a repeated destination host, a
    loopback recipient, and nonzero jitter (RNG draw order). *)
 let fanout_world ~config ~seed =
   let engine = Sim.Engine.create ~seed () in
@@ -169,14 +195,130 @@ let check_fanout_equivalence ~config ?crash_src_at name =
     (name ^ ": drop timestamps identical")
     (show chained_drop) (show batched_drop)
 
+(* Probes at colliding instants. Stage-1 instants (a recipient's packet
+   fully propagated) are invisible to the caller unless the receiver is
+   dead by then, when [on_dropped] reports them: crash every remote
+   recipient right after the issue and read the instants back as drops. *)
+let stage1_instants ~config ?crash_src_at () =
+  let engine, fabric, src, dsts = fanout_world ~config ~seed:11L in
+  let at = Array.make (Array.length dsts) nan in
+  (match crash_src_at with
+  | Some t -> ignore (Sim.Engine.schedule_at engine t (fun () -> Net.Host.crash src))
+  | None -> ());
+  ignore
+    (Sim.Engine.schedule engine ~delay:0.002 (fun () ->
+         Net.Fabric.transmit_many fabric ~src ~size:1024 ~dsts
+           ~on_dropped:(fun i -> at.(i) <- Sim.Engine.now engine)
+           ignore;
+         Array.iter (fun d -> if d != src then Net.Host.crash d) dsts));
+  Sim.Engine.run engine;
+  at
+
+(* The fan-out again, now with two probes at every recipient's stage-1
+   instant: one scheduled before the issue, one after it. Each logs itself
+   and reserves its recipient's CPU, so whether it fires before or after
+   the colliding delivery shows in the order and in the delivery and probe
+   completion times. *)
+let probe_log ~config ?crash_src_at () =
+  let stage1 = stage1_instants ~config ?crash_src_at () in
+  let engine, fabric, src, dsts = fanout_world ~config ~seed:11L in
+  let log = Buffer.create 1024 in
+  let note tag i = Printf.bprintf log "%s%d@%h " tag i (Sim.Engine.now engine) in
+  let probes tag =
+    Array.iteri
+      (fun i t ->
+        if not (Float.is_nan t) then
+          ignore
+            (Sim.Engine.schedule_at engine t (fun () ->
+                 note tag i;
+                 Net.Host.exec dsts.(i) ~cost:1e-4 (fun () -> note (tag ^ "+") i))))
+      stage1
+  in
+  (match crash_src_at with
+  | Some t -> ignore (Sim.Engine.schedule_at engine t (fun () -> Net.Host.crash src))
+  | None -> ());
+  probes "a";
+  ignore
+    (Sim.Engine.schedule engine ~delay:0.002 (fun () ->
+         Net.Fabric.transmit_many fabric ~src ~size:1024 ~dsts ~on_dropped:(note "x")
+           (note "d");
+         probes "b"));
+  Sim.Engine.run engine;
+  Buffer.contents log
+
+(* Probe logs recorded from the fan-out that scheduled one pooled event per
+   recipient, which is the order a single fan-out run must reproduce. *)
+let probe_golden_lan =
+  {|d4@0x1.794f21505cb9dp-9 a0@0x1.c089f35e5c00ep-9 b0@0x1.c089f35e5c00ep-9
+    a+0@0x1.cda564d3ea227p-9 d0@0x1.11e4aeebbb4f7p-8 a1@0x1.15f4dee4a75fp-8
+    b1@0x1.15f4dee4a75fp-8 b+0@0x1.187267a682604p-8 a+1@0x1.1c82979f6e6fdp-8
+    d1@0x1.35b2697437e04p-8 b+1@0x1.3c40222efef11p-8 a2@0x1.4ba4c41a20bd9p-8
+    b2@0x1.4ba4c41a20bd9p-8 a+2@0x1.52327cd4e7ce6p-8 a3@0x1.8154a94f9a1c2p-8
+    b3@0x1.8154a94f9a1c2p-8 a+3@0x1.87e2620a612cfp-8 d3@0x1.b2f45e8c276b3p-8
+    a5@0x1.b7048e85137abp-8 b5@0x1.b7048e85137abp-8 b+3@0x1.b9821746ee7cp-8
+    a+5@0x1.bd92473fda8b8p-8 d5@0x1.d6c21914a3fbfp-8
+    b+5@0x1.dd4fd1cf6b0ccp-8 d2@0x1.e3f30419144e2p-8
+    b+2@0x1.ea80bcd3db5efp-8 a6@0x1.ecb473ba8cd94p-8 b6@0x1.ecb473ba8cd94p-8
+    a+6@0x1.f3422c7553ea1p-8 d6@0x1.0638ff250ead4p-7
+    b+6@0x1.097fdb827235ap-7|}
+
+let probe_golden_campus =
+  {|d4@0x1.794f21505cb9dp-9 a0@0x1.366344b6f3438p-8 b0@0x1.366344b6f3438p-8
+    a+0@0x1.3cf0fd71ba545p-8 d0@0x1.6802f9f380929p-8 a1@0x1.6818585c78b6dp-8
+    b1@0x1.6818585c78b6dp-8 b+0@0x1.6e90b2ae47a36p-8
+    a+1@0x1.6ea611173fc7ap-8 d1@0x1.87d5e2ec09381p-8
+    b+1@0x1.8e639ba6d048ep-8 a2@0x1.9cd7f550698a8p-8 b2@0x1.9cd7f550698a8p-8
+    a+2@0x1.a365ae0b309b5p-8 a3@0x1.dac255416b28ap-8 b3@0x1.dac255416b28ap-8
+    a+3@0x1.e1500dfc32397p-8 a5@0x1.0600bc39b2635p-7 b5@0x1.0600bc39b2635p-7
+    d3@0x1.0631053efc3bdp-7 a+5@0x1.0947989715ebbp-7
+    b+3@0x1.0977e19c5fc43p-7 d5@0x1.15df81817aa3fp-7
+    b+5@0x1.19265ddede2c5p-7 d2@0x1.1a931aa7ae8d8p-7
+    b+2@0x1.1dd9f7051215ep-7 a6@0x1.1df2d89c8ce72p-7 b6@0x1.1df2d89c8ce72p-7
+    a+6@0x1.2139b4f9f06f8p-7 d6@0x1.2dd19de45527cp-7
+    b+6@0x1.31187a41b8b02p-7|}
+
+let probe_golden_lossy =
+  {|d4@0x1.794f21505cb9dp-9 a1@0x1.024bb4b4522cap-8 x1@0x1.024bb4b4522cap-8
+    b1@0x1.024bb4b4522cap-8 a+1@0x1.08d96d6f193d7p-8
+    b+1@0x1.0f672629e04e4p-8 a0@0x1.32687326ff584p-8 b0@0x1.32687326ff584p-8
+    a+0@0x1.38f62be1c6691p-8 d0@0x1.640828638ca75p-8
+    b+0@0x1.6a95e11e53b82p-8 a3@0x1.6dab7f1f44e9cp-8 x3@0x1.6dab7f1f44e9cp-8
+    b3@0x1.6dab7f1f44e9cp-8 a+3@0x1.743937da0bfa9p-8
+    b+3@0x1.7ac6f094d30b6p-8 a2@0x1.a0a1ae0872098p-8 b2@0x1.a0a1ae0872098p-8
+    a5@0x1.a35b6454be485p-8 x5@0x1.a35b6454be485p-8 b5@0x1.a35b6454be485p-8
+    a+2@0x1.a72f66c3391a5p-8 a+5@0x1.a9e91d0f85592p-8
+    b+5@0x1.b076d5ca4c69fp-8 d2@0x1.1c77f703b2cdp-7 b+2@0x1.1fbed36116556p-7
+    a6@0x1.219a965a1a6fp-7 b6@0x1.219a965a1a6fp-7 a+6@0x1.24e172b77df76p-7
+    d6@0x1.31795ba1e2afap-7 b+6@0x1.34c037ff4638p-7|}
+
+let probe_golden_crash =
+  {|d4@0x1.794f21505cb9dp-9 a0@0x1.c089f35e5c00ep-9 b0@0x1.c089f35e5c00ep-9
+    a+0@0x1.cda564d3ea227p-9 d0@0x1.11e4aeebbb4f7p-8
+    b+0@0x1.187267a682604p-8|}
+
+let check_probe_log ~config ?crash_src_at name golden =
+  let words s =
+    String.map (function '\n' -> ' ' | c -> c) s
+    |> String.split_on_char ' '
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check (list string))
+    (name ^ ": probes interleave as pinned")
+    (words golden)
+    (words (probe_log ~config ?crash_src_at ()))
+
 let test_transmit_many_golden () =
   check_fanout_equivalence ~config:Net.Fabric.lan "lan";
   (* Campus profile: nonzero jitter exercises RNG draw ordering. *)
-  check_fanout_equivalence ~config:Net.Fabric.campus "campus"
+  check_fanout_equivalence ~config:Net.Fabric.campus "campus";
+  (* The sender is quad-worker, so "lan" is the multi-worker case. *)
+  check_probe_log ~config:Net.Fabric.lan "lan" probe_golden_lan;
+  check_probe_log ~config:Net.Fabric.campus "campus" probe_golden_campus
 
 let test_transmit_many_golden_with_loss () =
   let lossy = { Net.Fabric.base_latency = 1.5e-3; jitter = 0.2e-3; loss_rate = 0.3 } in
   check_fanout_equivalence ~config:lossy "lossy";
+  check_probe_log ~config:lossy "lossy" probe_golden_lossy;
   (* Same dropped set and drop instants under loss: verified by the exact
      drop-timestamp comparison above; make sure the case is non-trivial. *)
   let _, _, drops = run_fanout ~config:lossy ~seed:11L ~size:1024 ~batched:true () in
@@ -188,6 +330,8 @@ let test_transmit_many_golden_src_crash () =
      suffix must be identical between the chained and batched paths. *)
   let crash_at = 0.002 +. 0.0015 in
   check_fanout_equivalence ~config:Net.Fabric.lan ~crash_src_at:crash_at "crash";
+  check_probe_log ~config:Net.Fabric.lan ~crash_src_at:crash_at "crash"
+    probe_golden_crash;
   let _, delivered, _ =
     run_fanout ~config:Net.Fabric.lan ~seed:11L ~size:1024 ~crash_src_at:crash_at
       ~batched:true ()
@@ -469,6 +613,7 @@ let () =
           tc "crash drops queued work" `Quick test_crash_drops_queued_work;
           tc "restart gives fresh epoch" `Quick test_restart_fresh_epoch;
           tc "nic transmission time" `Quick test_nic_transmission_time;
+          QCheck_alcotest.to_alcotest prop_cpu_batch_finishes_in_order;
         ] );
       ( "fabric",
         [

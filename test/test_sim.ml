@@ -150,6 +150,103 @@ let prop_events_fire_in_nondecreasing_time =
       in
       List.length times = List.length delays && sorted times)
 
+(* A run must be indistinguishable from its members scheduled one by one
+   with [schedule_pooled], in order of member index: same firing order,
+   same clock values, same [pending]/[events_fired] after every event.
+   Timestamps come from four values so runs collide with each other and
+   with classic and pooled events; some classic events are cancelled
+   (tombstones among run heads), and some events schedule more from their
+   callback, including runs with times already in the past. *)
+type run_op = {
+  op_kind : int; (* 0 classic, 1 pooled, 2 run *)
+  op_times : int list; (* one per member; the head alone otherwise *)
+  op_sorted : bool; (* run members issued in nondecreasing time *)
+  op_spawn : bool;
+  op_cancel : bool; (* classic only *)
+}
+
+let gen_run_op =
+  QCheck.Gen.(
+    map
+      (fun ((op_kind, op_times), (op_sorted, op_spawn, op_cancel)) ->
+        { op_kind; op_times; op_sorted; op_spawn; op_cancel })
+      (pair
+         (pair (int_range 0 2) (list_size (int_range 1 6) (int_range 0 3)))
+         (triple bool bool bool)))
+
+let show_run_op o =
+  Printf.sprintf "{kind=%d times=[%s] sorted=%b spawn=%b cancel=%b}" o.op_kind
+    (String.concat ";" (List.map string_of_int o.op_times))
+    o.op_sorted o.op_spawn o.op_cancel
+
+let replay_run_ops ~runs ops =
+  let e = Sim.Engine.create () in
+  let log = Buffer.create 512 in
+  let note label =
+    Printf.bprintf log "%s@%h p%d f%d\n" label (Sim.Engine.now e)
+      (Sim.Engine.pending e) (Sim.Engine.events_fired e)
+  in
+  let schedule_members times f =
+    if runs then begin
+      let at = Array.of_list times in
+      let n = Array.length at in
+      Sim.Engine.schedule_run e ~at ~n f
+    end
+    else List.iteri (fun j at -> Sim.Engine.schedule_pooled e ~at f j) times
+  in
+  let rec fire ~spawn label =
+    note label;
+    if spawn then begin
+      let now = Sim.Engine.now e in
+      ignore (Sim.Engine.schedule_at e now (fun () -> fire ~spawn:false (label ^ "c")));
+      schedule_members
+        [ now +. 1.0; now -. 2.0; now; now -. 1.0 ]
+        (fun j -> fire ~spawn:false (Printf.sprintf "%sr%d" label j));
+      Sim.Engine.schedule_pooled e ~at:(now +. 1.0)
+        (fun _ -> fire ~spawn:false (label ^ "p"))
+        0
+    end
+  in
+  List.iteri
+    (fun i o ->
+      let label = string_of_int i in
+      let times = List.map float_of_int o.op_times in
+      let times = if o.op_sorted then List.sort Float.compare times else times in
+      match o.op_kind with
+      | 0 ->
+          let id =
+            Sim.Engine.schedule_at e (List.hd times) (fun () ->
+                fire ~spawn:o.op_spawn label)
+          in
+          if o.op_cancel then Sim.Engine.cancel e id
+      | 1 ->
+          Sim.Engine.schedule_pooled e ~at:(List.hd times)
+            (fun _ -> fire ~spawn:o.op_spawn label)
+            0
+      | _ ->
+          schedule_members times (fun j ->
+              fire ~spawn:o.op_spawn (Printf.sprintf "%s.%d" label j)))
+    ops;
+  note "issued";
+  Sim.Engine.run ~until:1.5 e;
+  note "until";
+  Sim.Engine.run e;
+  note "drained";
+  Buffer.contents log
+
+let prop_run_matches_pooled_events =
+  QCheck.Test.make ~name:"a run fires exactly as its members scheduled one by one"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map show_run_op ops))
+       QCheck.Gen.(list_size (int_range 1 20) gen_run_op))
+    (fun ops ->
+      let expected = replay_run_ops ~runs:false ops in
+      let got = replay_run_ops ~runs:true ops in
+      if expected <> got then
+        QCheck.Test.fail_reportf "one by one:\n%s\nas runs:\n%s" expected got
+      else true)
+
 (* --- rng --------------------------------------------------------------- *)
 
 let test_rng_reproducible () =
@@ -294,6 +391,7 @@ let () =
           tc "periodic stops when false" `Quick test_periodic_stops_when_false;
           tc "deterministic runs" `Quick test_determinism;
           q prop_events_fire_in_nondecreasing_time;
+          q prop_run_matches_pooled_events;
         ] );
       ( "rng",
         [
