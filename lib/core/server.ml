@@ -84,7 +84,6 @@ type t = {
   listener : Net.Tcp.listener option ref;
   transfer_cache : Transfer.cache;
   relay_hub : Relay_hub.t;
-  pool : Proto.Pool.t; (* hot-path frame buffers, leased per broadcast *)
   fan_batch : Net.Tcp.batch; (* fan-out fill buffer, refilled per broadcast *)
   (* Stats as individual mutable fields: the hot loop bumps a counter with
      a field store instead of re-allocating a record per event; the public
@@ -118,8 +117,6 @@ let stats t =
     state_transfer_bytes = t.s_state_transfer_bytes;
     relay_frames_sent = t.s_relay_frames_sent;
   }
-
-let pool_stats t = Proto.Pool.stats t.pool
 
 let relay_hub t = t.relay_hub
 
@@ -222,7 +219,7 @@ let fill_batch t g ?exclude ?(skip = no_skip) () =
 let fan_out t g ?exclude response =
   fill_batch t g ?exclude ();
   let d =
-    Relay_hub.deliver t.relay_hub ~pool:t.pool ~group:g.g_id ?exclude
+    Relay_hub.deliver t.relay_hub ~group:g.g_id ?exclude
       ~inner:response t.fan_batch
   in
   t.s_responses_sent <- t.s_responses_sent + d.Relay_hub.d_direct;
@@ -244,7 +241,7 @@ let notify_membership_change t g change =
             | exception Not_found -> ())
         targets;
       let d =
-        Relay_hub.deliver t.relay_hub ~pool:t.pool ~group:g.g_id ~exclude:changed
+        Relay_hub.deliver t.relay_hub ~group:g.g_id ~exclude:changed
           ~inner:(M.Membership_changed { group = g.g_id; change; members })
           t.fan_batch
       in
@@ -368,14 +365,14 @@ let join_state_for t keeper (transfer : T.transfer_spec) : Transfer.prepared =
   | Stateless s -> Transfer.no_state ~at:s.next_seqno
   | Stateful log -> Transfer.prepare ~cache:t.transfer_cache log transfer
 
-(* One Join_accepted frame. Cache-served payloads splice the shared
-   encoding between the per-joiner fields; everything else pre-encodes the
-   whole frame. *)
+(* One Join_accepted frame. Cache-served payloads add the shared state
+   size to the per-joiner fields; everything else pre-encodes the whole
+   frame. *)
 let join_accepted_frame ~group ~members ~multicast (p : Transfer.prepared) =
-  match p.p_enc with
-  | Some state_enc ->
+  match p.p_enc_size with
+  | Some state_size ->
       M.pre_encode_join_accepted ~group ~at_seqno:p.p_at ~state:p.p_state
-        ~state_enc ~members ~multicast ()
+        ~state_size ~members ~multicast ()
   | None ->
       M.pre_encode
         (M.Response
@@ -483,7 +480,7 @@ let handle_join t conn ~group ~member ~role ~transfer ~notify =
                         {
                           p with
                           p_state = M.Snapshot { objects = []; log_tail };
-                          p_enc = None;
+                          p_enc_size = None;
                         })
               | (Some _ | None), _ -> accept p);
               notify_membership_change t g (T.Member_joined member)))
@@ -516,7 +513,7 @@ let handle_bcast t conn ~group ~sender ~kind ~obj ~data ~mode =
                   (* One NIC transmission covers every subscribed member;
                      sender exclusion for subscribed senders happens at the
                      client. Deliveries count per subscriber reached. *)
-                  let e = M.pre_encode ~pool:t.pool (M.Response (M.Deliver u)) in
+                  let e = M.pre_encode (M.Response (M.Deliver u)) in
                   let wire = M.encoded_wire_size e in
                   let chan =
                     Net.Multicast.channel t.fabric ~name:(mcast_channel_name g.g_id)
@@ -524,7 +521,6 @@ let handle_bcast t conn ~group ~sender ~kind ~obj ~data ~mode =
                   t.s_deliveries_sent <- t.s_deliveries_sent + mcast_reached;
                   t.s_bytes_delivered <- t.s_bytes_delivered + (mcast_reached * wire);
                   Net.Multicast.send chan ~src:t.server_host ~size:wire
-                    ~on_complete:(fun () -> M.release_encoded t.pool e)
                     (M.Corona (M.encoded_message e))
                 end;
                 fill_batch t g ?exclude
@@ -534,7 +530,7 @@ let handle_bcast t conn ~group ~sender ~kind ~obj ~data ~mode =
                    recipient; proxied recipients collapse to one spliced
                    frame per relay. *)
                 let d =
-                  Relay_hub.deliver t.relay_hub ~pool:t.pool ~group ?exclude
+                  Relay_hub.deliver t.relay_hub ~group ?exclude
                     ~inner:(M.Deliver u) t.fan_batch
                 in
                 t.s_deliveries_sent <- t.s_deliveries_sent + d.Relay_hub.d_direct;
@@ -767,7 +763,6 @@ let create fabric server_host ?(config = default_config) ~storage () =
       listener = ref None;
       transfer_cache = Transfer.create_cache ();
       relay_hub = Relay_hub.create ();
-      pool = Proto.Pool.create ();
       fan_batch = Net.Tcp.batch_create ();
       s_requests_handled = 0;
       s_bcasts_sequenced = 0;

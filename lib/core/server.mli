@@ -125,11 +125,6 @@ val group_base : t -> Proto.Types.group_id -> ((Proto.Types.object_id * string) 
 
 val stats : t -> stats
 
-val pool_stats : t -> Proto.Pool.stats
-(** Lease counters of the server's frame-buffer pool: leases issued, shelf
-    hits/misses, live leases and the high-water mark — the allocation bench
-    reports these per run and asserts [live = 0] at drain. *)
-
 val relay_hub : t -> Relay_hub.t
 (** The relay registry (empty when no relay tier is deployed). *)
 

@@ -67,7 +67,7 @@ let chunk_frames_of ~group ~objects ~chunk =
 
 (* --- the join-state cache ---------------------------------------------- *)
 
-(* One materialize+encode of the full snapshot, shared by every concurrent
+(* One materialize+measure of the full snapshot, shared by every concurrent
    joiner at the same state version. Identity is (physical state instance,
    version): the version pins the value, the physical check makes entries
    from a dead incarnation (recovery and re-seeding build fresh
@@ -79,7 +79,7 @@ type cached = {
   c_objects : (T.object_id * string) list;
   c_payload : M.join_state; (* Snapshot { objects = c_objects; log_tail = [] } *)
   c_bytes : int;
-  c_enc : string; (* M.encode_join_state c_payload, the splice fragment *)
+  c_enc_size : int; (* M.join_state_size c_payload *)
   mutable c_chunks : (int * chunk_frame list) option; (* keyed by chunk size *)
 }
 
@@ -114,7 +114,7 @@ let install cache log =
       c_objects = objects;
       c_payload = payload;
       c_bytes = objects_bytes objects;
-      c_enc = M.encode_join_state payload;
+      c_enc_size = M.join_state_size payload;
       c_chunks = None;
     }
   in
@@ -156,7 +156,7 @@ type prepared = {
   p_state : M.join_state;
   p_at : int;
   p_bytes : int;
-  p_enc : string option; (* cached encode_join_state bytes, when shared *)
+  p_enc_size : int option; (* cached join_state_size, when shared *)
   p_cache_hit : bool;
   p_full_snapshot : bool; (* the payload is the group's whole state *)
 }
@@ -166,7 +166,7 @@ let no_state ~at =
     p_state = M.Update_history [];
     p_at = at;
     p_bytes = 0;
-    p_enc = None;
+    p_enc_size = None;
     p_cache_hit = false;
     p_full_snapshot = false;
   }
@@ -181,7 +181,7 @@ let prepare ?cache log (transfer : T.transfer_spec) =
           p_state = c.c_payload;
           p_at = c.c_at;
           p_bytes = c.c_bytes;
-          p_enc = Some c.c_enc;
+          p_enc_size = Some c.c_enc_size;
           p_cache_hit = hit;
           p_full_snapshot = true;
         }
@@ -191,7 +191,7 @@ let prepare ?cache log (transfer : T.transfer_spec) =
           p_state = M.Snapshot { objects; log_tail = [] };
           p_at = at;
           p_bytes = objects_bytes objects;
-          p_enc = None;
+          p_enc_size = None;
           p_cache_hit = false;
           p_full_snapshot = true;
         }
@@ -204,7 +204,7 @@ let prepare ?cache log (transfer : T.transfer_spec) =
       p_state = M.Update_history ups;
       p_at = at;
       p_bytes = bytes;
-      p_enc = None;
+      p_enc_size = None;
       p_cache_hit = false;
       p_full_snapshot = false;
     }
@@ -226,7 +226,7 @@ let prepare ?cache log (transfer : T.transfer_spec) =
         p_state = M.Snapshot { objects; log_tail = [] };
         p_at = at;
         p_bytes = objects_bytes objects;
-        p_enc = None;
+        p_enc_size = None;
         p_cache_hit = false;
         p_full_snapshot = false;
       }

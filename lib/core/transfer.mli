@@ -7,7 +7,7 @@
 
     The join-state {!cache} amortizes join storms: full-snapshot payloads
     ([Full_state], and [Updates_since] requests folded past by log
-    reduction) are materialized and serialized once per
+    reduction) are materialized and measured once per
     {!Shared_state.version} and shared by every concurrent joiner. Cache
     identity is the physical state instance plus its version, so any applied
     update — or a fresh instance from recovery/re-seeding — invalidates
@@ -19,7 +19,7 @@ val create_cache : unit -> cache
 (** One per server; holds at most one snapshot entry per group. *)
 
 val cache_stats : cache -> int * int
-(** [(hits, misses)] — a miss is one materialize+encode of a full snapshot,
+(** [(hits, misses)] — a miss is one materialize+measure of a full snapshot,
     a hit shares it. *)
 
 val invalidate : cache -> Proto.Types.group_id -> unit
@@ -31,9 +31,9 @@ type prepared = {
   p_state : Proto.Message.join_state;
   p_at : int;  (** the sequence number the payload reflects *)
   p_bytes : int;  (** payload bytes, for transfer accounting *)
-  p_enc : string option;
-      (** the cached {!Proto.Message.encode_join_state} fragment when the
-          payload came from the cache — splice it with
+  p_enc_size : int option;
+      (** the cached {!Proto.Message.join_state_size} when the payload came
+          from the cache — pass it to
           {!Proto.Message.pre_encode_join_accepted} *)
   p_cache_hit : bool;
   p_full_snapshot : bool;

@@ -31,7 +31,7 @@ module C = Lint_ctx
 module I = Ast_iterator
 open Parsetree
 
-type sink_kind = Encode | Alloc | List_build | Printf_alloc | Decode_copy
+type sink_kind = Encode | Alloc | List_build | Printf_alloc
 
 type sink = { sk_kind : sink_kind; sk_what : string; sk_line : int; sk_col : int }
 
@@ -188,11 +188,8 @@ let expand_alias u = function
 
 let sink_of_path path =
   match path with
-  | [ "Bytes"; "create" ] | [ "Bytes"; "make" ] -> Some (Alloc, String.concat "." path)
-  | [ "Bytes"; ("sub" | "sub_string" | "blit") ] ->
-      (* decode-side copy-out: slicing or blitting frame bytes into a fresh
-         buffer defeats the pooled zero-copy path — peek in place instead *)
-      Some (Decode_copy, String.concat "." path)
+  | [ "Bytes"; ("create" | "make" | "sub" | "sub_string") ] ->
+      Some (Alloc, String.concat "." path)
   | [ "Buffer"; "create" ] -> Some (Alloc, "Buffer.create")
   | [ "@" ] -> Some (List_build, "@")
   | [ "List"; ("map" | "mapi" | "append" | "concat_map") ] ->
@@ -235,13 +232,9 @@ let resolve g u ~stack path =
 
 (* Sinks inside the sanctioned serialization layer (proto/message.ml,
    proto/codec.ml) are exempt: that is where the one shared encode and its
-   buffers are *supposed* to live (and where ROADMAP item 4's pool will
-   land). *)
+   buffers are *supposed* to live. *)
 let sink_exempt u =
-  C.has_suffix u.u_file "proto/message.ml"
-  || C.has_suffix u.u_file "proto/codec.ml"
-  || C.has_suffix u.u_file "proto/pool.ml"
-  || C.has_suffix u.u_file "proto/frame.ml"
+  C.has_suffix u.u_file "proto/message.ml" || C.has_suffix u.u_file "proto/codec.ml"
 
 let analyze_def g u ~stack (d : def) (vb : value_binding) =
   let callees = ref [] in

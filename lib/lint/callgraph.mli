@@ -15,7 +15,7 @@
     loop re-enters itself and a synchronous-call interpretation would mark
     the whole module hot). *)
 
-type sink_kind = Encode | Alloc | List_build | Printf_alloc | Decode_copy
+type sink_kind = Encode | Alloc | List_build | Printf_alloc
 
 type sink = { sk_kind : sink_kind; sk_what : string; sk_line : int; sk_col : int }
 

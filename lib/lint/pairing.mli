@@ -1,21 +1,16 @@
-(** R9/R11 — resource pairing: per-function walk checking that
-    acquire/release pairs cannot be separated by an exception edge — an
-    explicit raise or a call from a curated may-raise set while the resource
-    is held. R9 covers the classic pairs ([Locks.acquire]/[release], WAL
-    batch begin/flush, channel open/close); R11 covers pooled buffer leases
-    ([Pool.lease] against [Pool.release] / [Frame.release] /
-    [Message.release_encoded] / [Message.seal_encoded]) and fires only in
-    hot-reachable functions.
+(** R9 — resource pairing: per-function walk checking that acquire/release
+    pairs ([Locks.acquire]/[release], WAL batch begin/flush, channel
+    open/close) cannot be separated by an exception edge — an explicit
+    raise or a call from a curated may-raise set while the resource is
+    held.
 
     Result-aware for [match Locks.acquire ... with `Granted -> ...] (held
     only in grant branches), [Fun.protect ~finally] shields releases on all
     exits, raise sites inside [try ... with] are assumed handled, and a
     function that acquires and returns without releasing is treated as
-    ownership transfer (by-design lock or lease handoff), not a leak. *)
+    ownership transfer (by-design lock handoff), not a leak. *)
 
-val run :
-  ?hot:(name:string -> bool) -> Lint_ctx.t -> Parsetree.structure -> unit
+val run : Lint_ctx.t -> Parsetree.structure -> unit
 (** Walk every toplevel (and submodule-level) binding of one parsed file,
-    reporting [R9]/[R11] findings into the context at the escaping edge's
-    location. [hot] (default: everything) says whether the named binding is
-    reachable from a hot root — it gates R11 only. *)
+    reporting [R9] findings into the context at the escaping edge's
+    location. *)

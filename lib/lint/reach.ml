@@ -38,14 +38,11 @@ let analyze (g : G.t) : t =
   done;
   reach
 
-let is_reachable (reach : t) key = Hashtbl.mem reach key
-
 let kind_phrase = function
   | G.Alloc -> "allocation"
   | G.List_build -> "list building"
   | G.Printf_alloc -> "closure allocation"
   | G.Encode -> "re-encode"
-  | G.Decode_copy -> "decode copy"
 
 let findings (g : G.t) (reach : t) =
   List.concat_map
@@ -58,9 +55,7 @@ let findings (g : G.t) (reach : t) =
               let extra =
                 match s.G.sk_kind with
                 | G.Encode -> " — defeats encode-once, share a pre_encode"
-                | G.Decode_copy ->
-                    " — defeats zero-copy decode, peek the frame in place (Message.peek_*)"
-                | _ -> ""
+                | G.Alloc | G.List_build | G.Printf_alloc -> ""
               in
               Finding.make ~file:d.G.d_file ~line:s.G.sk_line ~col:s.G.sk_col ~rule:"R8"
                 ~ident:d.G.d_name

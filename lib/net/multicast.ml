@@ -22,7 +22,7 @@ type t = {
 
 (* Recycled per-send fan-out state, the multicast twin of the fabric's
    transmit batch: per-target subscriptions in a scratch array, two
-   persistent pooled-event callbacks, a countdown to the release point. *)
+   persistent pooled-event callbacks, a countdown to recycling. *)
 and mbatch = {
   mb_chan : t;
   mutable mb_src : Host.t;
@@ -35,14 +35,11 @@ and mbatch = {
   (* Per target: the stage-1 instant (the run's keys), then the deser cost
      and finish once stage 1 fires. *)
   mutable mb_scratch : float array;
-  mutable mb_user_complete : unit -> unit;
   mutable mb_stage1 : int -> unit;
   mutable mb_stage2 : int -> unit;
 }
 
 let ignore_i (_ : int) = ()
-
-let ignore_u () = ()
 
 let dummy_payload = Payload.Raw ""
 
@@ -159,11 +156,8 @@ and mb_stage2 mb i =
 and mb_terminal mb =
   mb.mb_remaining <- mb.mb_remaining - 1;
   if mb.mb_remaining = 0 then begin
-    let k = mb.mb_user_complete in
-    mb.mb_user_complete <- ignore_u;
     mb.mb_payload <- dummy_payload;
-    mb.mb_chan.free_mb <- mb :: mb.mb_chan.free_mb;
-    k ()
+    mb.mb_chan.free_mb <- mb :: mb.mb_chan.free_mb
   end
 
 let new_mbatch t src =
@@ -178,7 +172,6 @@ let new_mbatch t src =
       mb_remaining = 0;
       mb_subs = [||];
       mb_scratch = [||];
-      mb_user_complete = ignore_u;
       mb_stage1 = ignore_i;
       mb_stage2 = ignore_i;
     }
@@ -208,12 +201,9 @@ let acquire_mb t src =
    of the [Fabric.transmit_many] ones): the packet counter is charged and
    the reachability check performed at issue time rather than NIC-finish
    time, and a sender crash mid-transmission is silenced via the epoch
-   window instead of dropped by event guards. [on_complete] fires once
-   every target has reached its terminal outcome — the release point for a
-   pooled payload encoding. *)
-let send t ~src ~size ?(on_complete = ignore_u) payload =
-  if not (Host.is_alive src) then on_complete ()
-  else begin
+   window instead of dropped by event guards. *)
+let send t ~src ~size payload =
+  if Host.is_alive src then begin
     if t.cache_dirty then refresh_cache t;
     let cpu = Host.cpu src in
     let serialize_cost =
@@ -230,7 +220,6 @@ let send t ~src ~size ?(on_complete = ignore_u) payload =
     mb.mb_until <- nic_fin;
     mb.mb_size <- size;
     mb.mb_payload <- payload;
-    mb.mb_user_complete <- on_complete;
     let cnt = ref 0 in
     for i = 0 to t.cache_n - 1 do
       let s = t.cache.(i) in

@@ -46,7 +46,6 @@ type inflight = {
   mutable if_dsts : Host.t array;
   mutable if_size : int;
   mutable if_payload : Payload.t;
-  mutable if_user_complete : unit -> unit;
   mutable if_deliver : int -> unit;
   mutable if_dropped : int -> unit;
   mutable if_complete : unit -> unit;
@@ -240,7 +239,6 @@ let new_inflight st =
       if_dsts = [||];
       if_size = 0;
       if_payload = dummy_payload;
-      if_user_complete = ignore_u;
       if_deliver = ignore_i;
       if_dropped = ignore_i;
       if_complete = ignore_u;
@@ -266,14 +264,11 @@ let new_inflight st =
       end);
   inf.if_complete <-
     (fun () ->
-      let k = inf.if_user_complete in
-      inf.if_user_complete <- ignore_u;
       inf.if_payload <- dummy_payload;
-      st.free_inflight <- inf :: st.free_inflight;
-      k ());
+      st.free_inflight <- inf :: st.free_inflight);
   inf
 
-let send_batch_buf b ~size ?(on_complete = ignore_u) payload =
+let send_batch_buf b ~size payload =
   (* Compact the live connections in place, preserving order, and detect
      the (rare) mixed-sender case on the way. *)
   let live = ref 0 in
@@ -289,19 +284,16 @@ let send_batch_buf b ~size ?(on_complete = ignore_u) payload =
   done;
   b.ba_n <- !live;
   let n = !live in
-  if n = 0 then on_complete ()
+  if n = 0 then ()
   else if !mixed then begin
     (* Endpoints on several sending hosts: fall back to the list path, one
-       batched transmit per host. The payload value itself is consumed at
-       issue time (the fabric carries only its size), so completing here
-       keeps lease release correct. *)
+       batched transmit per host. *)
     let conns = ref [] in
     for i = n - 1 downto 0 do
       conns := b.ba_conns.(i) :: !conns
     done;
     b.ba_n <- 0;
-    send_batch !conns ~size payload;
-    on_complete ()
+    send_batch !conns ~size payload
   end
   else begin
     let st = state b.ba_conns.(0).fabric in
@@ -332,7 +324,6 @@ let send_batch_buf b ~size ?(on_complete = ignore_u) payload =
     done;
     inf.if_size <- size;
     inf.if_payload <- payload;
-    inf.if_user_complete <- on_complete;
     Fabric.transmit_many c0.fabric ~src:c0.host ~size ~on_dropped:inf.if_dropped
       ~on_complete:inf.if_complete ~dsts:inf.if_dsts ~len:n inf.if_deliver
   end

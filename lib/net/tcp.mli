@@ -79,16 +79,13 @@ val batch_get : batch -> int -> conn
     @raise Invalid_argument when [i] is out of bounds. *)
 
 val send_batch_buf :
-  batch -> size:int -> ?on_complete:(unit -> unit) -> Payload.t -> unit
+  batch -> size:int -> Payload.t -> unit
 (** {!send_batch} over a reusable {!batch}: same semantics (sequence numbers
     in add order, closed connections skipped, retransmits on the chained
     path), but the per-broadcast recipient state is recycled through the
     transport's freelist, so the steady-state hot loop allocates nothing.
     The batch is cleared by the call — its fill array is swapped into the
-    in-flight record, not copied. [on_complete] fires exactly once, when
-    every recipient has reached a terminal outcome at the fabric (the point
-    where a pooled payload encoding may be released); when no recipient is
-    open it fires synchronously. *)
+    in-flight record, not copied. *)
 
 val close : conn -> unit
 (** Graceful close; the peer's [on_close Graceful] fires after one latency. *)

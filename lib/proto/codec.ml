@@ -3,116 +3,55 @@
    chunks. The emitted byte sequence is identical to the historical
    [Buffer]-based writer (the golden-bytes tests in test_proto pin it). *)
 module Writer = struct
-  (* A pooled writer leases chunks from a {!Pool} and emits a
-     scatter-gather {!Frame} instead of one contiguous buffer: on
-     overflow it closes the current chunk as a segment and opens a fresh
-     one (no copy, unlike the classic doubling), and large cached
-     fragments are spliced as borrowed segments instead of blitted. The
-     concatenated segment bytes are identical to the classic writer's
-     output (golden-pinned). *)
-  type pooled = {
-    pk_pool : Pool.t;
-    mutable pk_lease : Pool.lease; (* lease backing the current chunk *)
-    mutable pk_start : int; (* start of the open segment within [buf] *)
-    mutable pk_owned_pushed : bool; (* [pk_lease] already owned by a segment *)
-    mutable pk_segs : Frame.seg list; (* closed segments, reversed *)
-    mutable pk_closed : int; (* bytes in closed segments *)
-    mutable pk_finished : bool;
-  }
-
-  type t = { mutable buf : Bytes.t; mutable len : int; pooled : pooled option }
+  (* A counting writer stores nothing and only advances [len]: the simulator
+     charges CPUs, NICs and disks by wire size alone, so measuring a message
+     is the same encoder run without the byte stores. *)
+  type t = { mutable buf : Bytes.t; mutable len : int; counting : bool }
 
   let create ?(initial_capacity = 256) () =
-    { buf = Bytes.create (max 16 initial_capacity); len = 0; pooled = None }
+    { buf = Bytes.create (max 16 initial_capacity); len = 0; counting = false }
 
-  let create_pooled ~pool ?(size_hint = 256) () =
-    let l = Pool.lease pool (max 16 size_hint) in
-    {
-      buf = Pool.bytes l;
-      len = 0;
-      pooled =
-        Some
-          {
-            pk_pool = pool;
-            pk_lease = l;
-            pk_start = 0;
-            pk_owned_pushed = false;
-            pk_segs = [];
-            pk_closed = 0;
-            pk_finished = false;
-          };
-    }
+  let counting () = { buf = Bytes.empty; len = 0; counting = true }
 
-  (* Close the open segment of a pooled writer, transferring chunk
-     ownership to the first segment that references it. No-op when the
-     open segment is empty. *)
-  let close_open_seg t pk =
-    if t.len > pk.pk_start then begin
-      let seg =
-        {
-          Frame.sg_bytes = t.buf;
-          sg_off = pk.pk_start;
-          sg_len = t.len - pk.pk_start;
-          sg_lease = Some pk.pk_lease;
-          sg_owned = not pk.pk_owned_pushed;
-        }
-      in
-      pk.pk_segs <- seg :: pk.pk_segs;
-      pk.pk_closed <- pk.pk_closed + seg.Frame.sg_len;
-      pk.pk_owned_pushed <- true;
-      pk.pk_start <- t.len
-    end
-
-  let grow_pooled t pk extra =
-    if pk.pk_finished then
-      invalid_arg "Codec.Writer: write after finish_frame";
-    close_open_seg t pk;
-    (* A chunk that never contributed a segment goes straight back. *)
-    if not pk.pk_owned_pushed then Pool.release pk.pk_pool pk.pk_lease;
-    let l = Pool.lease pk.pk_pool (max extra (2 * Bytes.length t.buf)) in
-    pk.pk_lease <- l;
-    pk.pk_owned_pushed <- false;
-    t.buf <- Pool.bytes l;
-    t.len <- 0;
-    pk.pk_start <- 0
-
+  (* Make room for [extra] more bytes; [false] on a counting writer, which
+     skips the store. *)
   let ensure t extra =
-    let needed = t.len + extra in
-    let cap = Bytes.length t.buf in
-    if needed > cap then
-      match t.pooled with
-      | Some pk -> grow_pooled t pk extra
-      | None ->
-          let cap' = ref (max 16 (cap * 2)) in
-          while needed > !cap' do
-            cap' := !cap' * 2
-          done;
-          let buf' = Bytes.create !cap' in
-          Bytes.blit t.buf 0 buf' 0 t.len;
-          t.buf <- buf'
+    if t.counting then false
+    else begin
+      let needed = t.len + extra in
+      let cap = Bytes.length t.buf in
+      if needed > cap then begin
+        let cap' = ref (max 16 (cap * 2)) in
+        while needed > !cap' do
+          cap' := !cap' * 2
+        done;
+        let buf' = Bytes.create !cap' in
+        Bytes.blit t.buf 0 buf' 0 t.len;
+        t.buf <- buf'
+      end;
+      true
+    end
 
   let u8 t v =
     if v < 0 || v > 0xFF then invalid_arg "Codec.Writer.u8: out of range";
-    ensure t 1;
-    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr v);
+    if ensure t 1 then Bytes.unsafe_set t.buf t.len (Char.unsafe_chr v);
     t.len <- t.len + 1
 
   let u16 t v =
     if v < 0 || v > 0xFFFF then invalid_arg "Codec.Writer.u16: out of range";
-    ensure t 2;
-    Bytes.set_uint16_be t.buf t.len v;
+    if ensure t 2 then Bytes.set_uint16_be t.buf t.len v;
     t.len <- t.len + 2
 
   let u32 t v =
     if v < 0 || v > 0xFFFFFFFF then invalid_arg "Codec.Writer.u32: out of range";
-    ensure t 4;
-    Bytes.set_uint16_be t.buf t.len (v lsr 16);
-    Bytes.set_uint16_be t.buf (t.len + 2) (v land 0xFFFF);
+    if ensure t 4 then begin
+      Bytes.set_uint16_be t.buf t.len (v lsr 16);
+      Bytes.set_uint16_be t.buf (t.len + 2) (v land 0xFFFF)
+    end;
     t.len <- t.len + 4
 
   let i64 t v =
-    ensure t 8;
-    Bytes.set_int64_be t.buf t.len v;
+    if ensure t 8 then Bytes.set_int64_be t.buf t.len v;
     t.len <- t.len + 8
 
   let int_as_i64 t v = i64 t (Int64.of_int v)
@@ -121,56 +60,11 @@ module Writer = struct
 
   let bool t v = u8 t (if v then 1 else 0)
 
-  (* Fragments at least this long are spliced as borrowed segments by a
-     pooled writer instead of copied; shorter ones aren't worth a segment
-     record. *)
-  let borrow_threshold = 64
-
-  (* Append pre-serialized bytes verbatim — no length prefix. The splice
-     primitive the cached join-state encoding relies on: a fragment produced
-     by running an encoder into a fresh writer can be re-embedded where that
-     encoder would have run. A pooled writer splices large fragments
-     zero-copy (a borrowed segment over the string). *)
-  let raw t s =
-    let n = String.length s in
-    match t.pooled with
-    | Some pk when n >= borrow_threshold ->
-        close_open_seg t pk;
-        pk.pk_segs <-
-          {
-            Frame.sg_bytes = Bytes.unsafe_of_string s;
-            sg_off = 0;
-            sg_len = n;
-            sg_lease = None;
-            sg_owned = false;
-          }
-          :: pk.pk_segs;
-        pk.pk_closed <- pk.pk_closed + n
-    | _ ->
-        ensure t n;
-        Bytes.blit_string s 0 t.buf t.len n;
-        t.len <- t.len + n
-
   let string t s =
-    u32 t (String.length s);
-    raw t s
-
-  (* Splice another frame's bytes as borrowed segments (pooled writers):
-     the view shares the source's storage and keeps its leases only as
-     validity witnesses — releasing the produced frame never releases the
-     source's chunks. Classic writers fall back to a copy. *)
-  let raw_frame t f =
-    match t.pooled with
-    | Some pk ->
-        close_open_seg t pk;
-        let segs = Frame.segs f in
-        Array.iter
-          (fun (s : Frame.seg) ->
-            pk.pk_segs <-
-              { s with Frame.sg_owned = false } :: pk.pk_segs;
-            pk.pk_closed <- pk.pk_closed + s.Frame.sg_len)
-          segs
-    | None -> raw t (Frame.to_string f)
+    let n = String.length s in
+    u32 t n;
+    if ensure t n then Bytes.blit_string s 0 t.buf t.len n;
+    t.len <- t.len + n
 
   let list t enc xs =
     u32 t (List.length xs);
@@ -182,42 +76,11 @@ module Writer = struct
         u8 t 1;
         enc t v
 
-  let size t =
-    match t.pooled with
-    | None -> t.len
-    | Some pk -> pk.pk_closed + (t.len - pk.pk_start)
+  let size t = t.len
 
   let contents t =
-    match t.pooled with
-    | None -> Bytes.sub_string t.buf 0 t.len
-    | Some pk ->
-        let total = pk.pk_closed + (t.len - pk.pk_start) in
-        let out = Bytes.create total in
-        let off = ref 0 in
-        List.iter
-          (fun (s : Frame.seg) ->
-            Bytes.blit s.Frame.sg_bytes s.Frame.sg_off out !off s.Frame.sg_len;
-            off := !off + s.Frame.sg_len)
-          (List.rev pk.pk_segs);
-        Bytes.blit t.buf pk.pk_start out !off (t.len - pk.pk_start);
-        Bytes.unsafe_to_string out
-
-  (* Finalize a pooled writer into its scatter-gather frame. The writer is
-     spent afterwards: further writes raise. The caller owns the frame and
-     must {!Frame.release} it (or hand it to an owner that will). *)
-  let finish_frame t =
-    match t.pooled with
-    | None -> invalid_arg "Codec.Writer.finish_frame: not a pooled writer"
-    | Some pk ->
-        if pk.pk_finished then
-          invalid_arg "Codec.Writer.finish_frame: already finished";
-        close_open_seg t pk;
-        if not pk.pk_owned_pushed then Pool.release pk.pk_pool pk.pk_lease;
-        pk.pk_finished <- true;
-        t.buf <- Bytes.empty;
-        t.len <- 0;
-        pk.pk_start <- 0;
-        Frame.make (Array.of_list (List.rev pk.pk_segs))
+    if t.counting then invalid_arg "Codec.Writer.contents: counting writer";
+    Bytes.sub_string t.buf 0 t.len
 end
 
 module Reader = struct
@@ -290,7 +153,7 @@ module Reader = struct
 end
 
 let encoded_size enc v =
-  let w = Writer.create () in
+  let w = Writer.counting () in
   enc w v;
   Writer.size w
 

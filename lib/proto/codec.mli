@@ -11,12 +11,10 @@ module Writer : sig
 
   val create : ?initial_capacity:int -> unit -> t
 
-  val create_pooled : pool:Pool.t -> ?size_hint:int -> unit -> t
-  (** A writer that leases its chunks from [pool] and emits a
-      scatter-gather {!Frame.t} via {!finish_frame} instead of growing
-      one contiguous buffer. Overflow opens a new chunk (no copy), and
-      {!raw}/{!string} splice large fragments as borrowed segments.
-      Byte-for-byte identical output to the classic writer. *)
+  val counting : unit -> t
+  (** A writer that stores nothing and only advances its {!size}: the same
+      encoder run measures a value without producing its bytes.
+      {!contents} raises on it. *)
 
   val u8 : t -> int -> unit
   (** @raise Invalid_argument outside [0, 255]. *)
@@ -37,19 +35,6 @@ module Writer : sig
   val string : t -> string -> unit
   (** u32 length prefix + bytes. *)
 
-  val raw : t -> string -> unit
-  (** Append pre-serialized bytes verbatim, without a length prefix:
-      splices a fragment produced by running an encoder into a fresh
-      writer back into a larger encoding, byte-identically. On a pooled
-      writer, fragments past a small threshold are borrowed (zero-copy
-      segment), not blitted. *)
-
-  val raw_frame : t -> Frame.t -> unit
-  (** Splice another frame's bytes. On a pooled writer this borrows the
-      source's segments (keeping its leases only as validity witnesses —
-      releasing the result never releases the source); classic writers
-      copy. *)
-
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   (** u32 count prefix + elements. *)
 
@@ -58,11 +43,7 @@ module Writer : sig
   val size : t -> int
 
   val contents : t -> string
-
-  val finish_frame : t -> Frame.t
-  (** Finalize a pooled writer into its frame; the writer is spent (later
-      writes raise). The caller owns the frame's chunks and must see them
-      {!Frame.release}d. @raise Invalid_argument on a classic writer. *)
+  (** @raise Invalid_argument on a {!counting} writer. *)
 end
 
 module Reader : sig
@@ -102,7 +83,8 @@ module Reader : sig
 end
 
 val encoded_size : (Writer.t -> 'a -> unit) -> 'a -> int
-(** Size in bytes of the encoding of a value. *)
+(** Size in bytes of the encoding of a value, from a {!Writer.counting}
+    pass: no bytes are produced. *)
 
 val roundtrip : (Writer.t -> 'a -> unit) -> (Reader.t -> 'a) -> 'a -> 'a
 (** Encode then decode (for tests). *)

@@ -560,22 +560,25 @@ let rec dec_response r =
 
 (* Serializations of whole messages, for the bench's encodes-per-bcast
    counter: an encode-once fan-out performs exactly one regardless of how
-   many recipients the message reaches. *)
+   many recipients the message reaches. A size-only pass counts the same
+   as a byte-producing one. *)
 let encodes = ref 0
 
 let encode_count () = !encodes
 
 let reset_encode_count () = encodes := 0
 
-let encode w t =
-  incr encodes;
-  match t with
+let enc_message w = function
   | Request req ->
       W.u8 w 0;
       enc_request w req
   | Response resp ->
       W.u8 w 1;
       enc_response w resp
+
+let encode w t =
+  incr encodes;
+  enc_message w t
 
 let decode r =
   match R.u8 r with
@@ -585,87 +588,53 @@ let decode r =
 
 let frame_header_size = 8
 
-(* A message serialized exactly once. [encoded_wire_size] is derived from
-   the cached encoding, never recomputed — every fan-out path shares one
-   [encoded] value across all recipients.
+(* A message encoded exactly once, for its size. Receivers get the OCaml
+   value ([Corona e_msg]) and CPUs, NICs and disks are charged by wire
+   size, so [e_len] comes from a counting pass that produces no bytes —
+   every fan-out path shares one [encoded] value across all recipients. *)
+type encoded = { e_msg : t; e_len : int }
 
-   With a {!Pool}, the encoding is a scatter-gather {!Frame} of pooled
-   chunks and borrowed cached fragments instead of a fresh string: the hot
-   loop never copies the bytes, and the owner hands the chunks back with
-   [release_encoded] once the fan-out has issued. Reading a released frame
-   is a checked error (generation-stamped leases), not a silent read of a
-   recycled buffer. Without a pool the representation is a plain string,
-   exactly as in PR 1–8. *)
-type repr = Enc_string of string | Enc_frame of Frame.t | Enc_released
+let pre_encode msg =
+  let w = Codec.Writer.counting () in
+  encode w msg;
+  { e_msg = msg; e_len = Codec.Writer.size w }
 
-type encoded = { e_msg : t; mutable e_repr : repr; e_len : int }
-
-let pre_encode ?pool msg =
-  match pool with
-  | None ->
-      let w = Codec.Writer.create () in
-      encode w msg;
-      let s = Codec.Writer.contents w in
-      { e_msg = msg; e_repr = Enc_string s; e_len = String.length s }
-  | Some pool ->
-      let w = Codec.Writer.create_pooled ~pool () in
-      encode w msg;
-      let f = Codec.Writer.finish_frame w in
-      { e_msg = msg; e_repr = Enc_frame f; e_len = Frame.total f }
-
-(* Join-state splicing: a server caching one snapshot encoding across a
-   join storm serializes the [join_state] fragment once and re-embeds it in
-   each per-joiner [Join_accepted] frame (members and at_seqno differ per
-   joiner, the state payload does not). [pre_encode_join_accepted] must stay
-   byte-identical to [pre_encode (Response (Join_accepted ...))] — pinned by
-   a golden test. *)
+(* Join-state splicing: a server caching one snapshot across a join storm
+   measures the [join_state] fragment once and adds its size to each
+   per-joiner [Join_accepted] (members and at_seqno differ per joiner, the
+   state payload does not). [encode_join_state] keeps the fragment's bytes
+   for callers that need them. *)
 let encode_join_state state =
   let w = Codec.Writer.create () in
   enc_join_state w state;
   Codec.Writer.contents w
 
-let pre_encode_join_accepted ?pool ~group ~at_seqno ~state ~state_enc ~members
+let join_state_size state = Codec.encoded_size enc_join_state state
+
+let pre_encode_join_accepted ~group ~at_seqno ~state ~state_size ~members
     ~multicast () =
   incr encodes;
-  let w =
-    match pool with
-    | None -> Codec.Writer.create ()
-    | Some pool -> Codec.Writer.create_pooled ~pool ()
-  in
+  let w = Codec.Writer.counting () in
   W.u8 w 1 (* Response *);
   W.u8 w 2 (* Join_accepted *);
   W.string w group;
   W.int_as_i64 w at_seqno;
-  (* With a pool, the cached fragment is spliced as a borrowed segment —
-     the per-joiner frame shares the snapshot encoding's bytes. *)
-  W.raw w state_enc;
   W.list w enc_member members;
   W.bool w multicast;
   let e_msg =
     Response (Join_accepted { group; at_seqno; state; members; multicast })
   in
-  match pool with
-  | None ->
-      let s = Codec.Writer.contents w in
-      { e_msg; e_repr = Enc_string s; e_len = String.length s }
-  | Some _ ->
-      let f = Codec.Writer.finish_frame w in
-      { e_msg; e_repr = Enc_frame f; e_len = Frame.total f }
+  { e_msg; e_len = Codec.Writer.size w + state_size }
 
-(* Relay fan-out splicing: the root serializes the inner response once
-   (shared with any direct recipients via [pre_encode]) and wraps those
-   bytes in one [Relay_fanout] frame per relay — the frame itself is then
-   shared across every relay control connection by [send_batch_encoded], so
-   a broadcast costs the root O(relays) transmits and exactly two encodes
-   however many members sit behind the tier. Must stay byte-identical to
-   [pre_encode (Response (Relay_fanout ...))] — pinned by a golden test. *)
-let pre_encode_relay_fanout ?pool ~group ?exclude ~inner ~inner_enc () =
+(* Relay fan-out splicing: the root measures the inner response once
+   (shared with any direct recipients via [pre_encode]) and wraps it in one
+   [Relay_fanout] frame per relay — the frame itself is then shared across
+   every relay control connection by [send_batch_encoded], so a broadcast
+   costs the root O(relays) transmits and exactly two encodes however many
+   members sit behind the tier. *)
+let pre_encode_relay_fanout ~group ?exclude ~inner ~inner_enc () =
   incr encodes;
-  let w =
-    match pool with
-    | None -> Codec.Writer.create ()
-    | Some pool -> Codec.Writer.create_pooled ~pool ()
-  in
+  let w = Codec.Writer.counting () in
   W.u8 w 1 (* Response *);
   W.u8 w 19 (* Relay_fanout *);
   W.string w group;
@@ -674,25 +643,10 @@ let pre_encode_relay_fanout ?pool ~group ?exclude ~inner ~inner_enc () =
   | Some m ->
       W.bool w true;
       W.string w m);
-  (* [inner_enc] is [pre_encode (Response inner)]; drop its leading message
-     tag byte to recover the bare [enc_response] bytes. A pooled writer
-     borrows the inner frame's segments instead of copying them, so the
-     relay frame must be released (or fully issued) before the inner one:
-     the borrowed view keeps the inner leases as validity witnesses and a
-     late read raises. *)
-  (match inner_enc.e_repr with
-  | Enc_string s -> W.raw_frame w (Frame.borrow (Frame.of_string s) ~from:1)
-  | Enc_frame f -> W.raw_frame w (Frame.borrow f ~from:1)
-  | Enc_released ->
-      raise (Pool.Lease_error "pre_encode_relay_fanout: inner frame released"));
+  (* [inner_enc] is [pre_encode (Response inner)]: its bare [enc_response]
+     bytes are all but the leading message tag byte. *)
   let e_msg = Response (Relay_fanout { group; exclude; inner }) in
-  match pool with
-  | None ->
-      let s = Codec.Writer.contents w in
-      { e_msg; e_repr = Enc_string s; e_len = String.length s }
-  | Some _ ->
-      let f = Codec.Writer.finish_frame w in
-      { e_msg; e_repr = Enc_frame f; e_len = Frame.total f }
+  { e_msg; e_len = Codec.Writer.size w + inner_enc.e_len - 1 }
 
 (* --- cross-shard barrier frames ----------------------------------------- *)
 
@@ -738,162 +692,23 @@ let decode_barrier_frame s =
 let encoded_message e = e.e_msg
 
 let encoded_bytes e =
-  match e.e_repr with
-  | Enc_string s -> s
-  | Enc_frame f -> Frame.to_string f
-  | Enc_released ->
-      raise (Pool.Lease_error "Message.encoded_bytes: frame already released")
-
-let encoded_frame e =
-  match e.e_repr with Enc_frame f -> Some f | Enc_string _ | Enc_released -> None
+  let w = Codec.Writer.create ~initial_capacity:e.e_len () in
+  enc_message w e.e_msg;
+  Codec.Writer.contents w
 
 let encoded_wire_size e = frame_header_size + e.e_len
 
-(* Release a pooled encoding's chunks once the fan-out has issued. The
-   simulator passes messages by value past this point, so nothing reads
-   the bytes afterwards — and if something does, the generation stamps
-   catch it. Idempotent, and a no-op on string-backed encodings, so
-   release points can be wired unconditionally. *)
-let release_encoded pool e =
-  match e.e_repr with
-  | Enc_frame f ->
-      Frame.release pool f;
-      e.e_repr <- Enc_released
-  | Enc_string _ | Enc_released -> ()
+let wire_size t = frame_header_size + Codec.encoded_size encode t
 
-(* Materialize then release: pins the bytes for an [encoded] that outlives
-   its pool window (e.g. a transfer-cache entry built with a pool). *)
-let seal_encoded pool e =
-  match e.e_repr with
-  | Enc_frame f ->
-      let s = Frame.to_string f in
-      Frame.release pool f;
-      e.e_repr <- Enc_string s
-  | Enc_string _ -> ()
-  | Enc_released ->
-      raise (Pool.Lease_error "Message.seal_encoded: frame already released")
-
-let wire_size ?pool t =
-  match pool with
-  | None -> frame_header_size + Codec.encoded_size encode t
-  | Some p ->
-      (* One pooled encode, measured and immediately returned: the
-         per-send sizing path allocates a lease token instead of a fresh
-         writer buffer. *)
-      let w = Codec.Writer.create_pooled ~pool:p () in
-      encode w t;
-      let n = Codec.Writer.size w in
-      Frame.release p (Codec.Writer.finish_frame w);
-      frame_header_size + n
-
-let send ?pool conn t = Net.Tcp.send conn ~size:(wire_size ?pool t) (Corona t)
+let send conn t = Net.Tcp.send conn ~size:(wire_size t) (Corona t)
 
 let send_encoded conn e = Net.Tcp.send conn ~size:(encoded_wire_size e) (Corona e.e_msg)
 
 let send_batch_encoded conns e =
   Net.Tcp.send_batch conns ~size:(encoded_wire_size e) (Corona e.e_msg)
 
-let send_batch_encoded_buf b ?on_complete e =
-  Net.Tcp.send_batch_buf b ~size:(encoded_wire_size e) ?on_complete
-    (Corona e.e_msg)
-
-(* --- fixed-offset header peeks ------------------------------------------ *)
-
-(* The decode-side twin of the encode splices: routing layers that need
-   only the message family, the group, or the stream position read them at
-   pinned offsets instead of materializing the whole record. The offsets
-   are fixed by the codec — byte 0 is the Request/Response discriminant,
-   byte 1 the constructor tag, and every group-bearing message opens its
-   body with the group string, except [Deliver] (seqno first, group at
-   offset 10) and [Shard_deliver] (shard then seqno, group at offset 14).
-   Agreement with full decodes is property-tested over the golden corpus
-   in test_proto. *)
-
-type peeked = Peek_request of int | Peek_response of int
-
-let peek_kind s =
-  if String.length s < 2 then raise Codec.Reader.Truncated;
-  match Char.code s.[0] with
-  | 0 -> Peek_request (Char.code s.[1])
-  | 1 -> Peek_response (Char.code s.[1])
-  | n -> raise (R.Malformed (Printf.sprintf "message tag %d" n))
-
-(* Offset of the group string's u32 length prefix, per constructor. *)
-let group_offset = function
-  | Peek_request (0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 10) -> 2
-  | Peek_request _ -> -1
-  | Peek_response (0 | 1 | 2 | 3 | 4 | 5 | 7 | 8 | 9 | 10 | 11 | 13 | 14 | 16 | 17 | 19) -> 2
-  | Peek_response 6 -> 10 (* Deliver: i64 seqno first *)
-  | Peek_response 15 -> 14 (* Shard_deliver: u32 shard, i64 seqno first *)
-  | Peek_response _ -> -1
-
-let u32_at s off =
-  if off + 4 > String.length s then raise Codec.Reader.Truncated;
-  let hi = String.get_uint16_be s off in
-  let lo = String.get_uint16_be s (off + 2) in
-  (hi lsl 16) lor lo
-
-let peek_group s =
-  let off = group_offset (peek_kind s) in
-  if off < 0 then None
-  else begin
-    let n = u32_at s off in
-    if off + 4 + n > String.length s then raise Codec.Reader.Truncated;
-    Some (String.sub s (off + 4) n)
-  end
-
-let i64_at s off =
-  if off + 8 > String.length s then raise Codec.Reader.Truncated;
-  Int64.to_int (String.get_int64_be s off)
-
-let peek_seqno s =
-  match peek_kind s with
-  | Peek_response 6 -> Some (i64_at s 2)
-  | Peek_response 15 -> Some (i64_at s 6)
-  | _ -> None
-
-(* Frame variants: the header sits in the first pooled chunk, so a peek is
-   a couple of bounds-checked byte loads — no materialization, and a
-   released frame raises instead of yielding recycled bytes. *)
-
-let frame_byte f i = Char.code (Frame.get f i)
-
-let peek_kind_frame f =
-  if Frame.total f < 2 then raise Codec.Reader.Truncated;
-  match frame_byte f 0 with
-  | 0 -> Peek_request (frame_byte f 1)
-  | 1 -> Peek_response (frame_byte f 1)
-  | n -> raise (R.Malformed (Printf.sprintf "message tag %d" n))
-
-let u32_at_frame f off =
-  if off + 4 > Frame.total f then raise Codec.Reader.Truncated;
-  (frame_byte f off lsl 24)
-  lor (frame_byte f (off + 1) lsl 16)
-  lor (frame_byte f (off + 2) lsl 8)
-  lor frame_byte f (off + 3)
-
-let i64_at_frame f off =
-  if off + 8 > Frame.total f then raise Codec.Reader.Truncated;
-  let v = ref 0 in
-  for i = 0 to 7 do
-    v := (!v lsl 8) lor frame_byte f (off + i)
-  done;
-  !v
-
-let peek_group_frame f =
-  let off = group_offset (peek_kind_frame f) in
-  if off < 0 then None
-  else begin
-    let n = u32_at_frame f off in
-    if off + 4 + n > Frame.total f then raise Codec.Reader.Truncated;
-    Some (String.init n (fun i -> Frame.get f (off + 4 + i)))
-  end
-
-let peek_seqno_frame f =
-  match peek_kind_frame f with
-  | Peek_response 6 -> Some (i64_at_frame f 2)
-  | Peek_response 15 -> Some (i64_at_frame f 6)
-  | _ -> None
+let send_batch_encoded_buf b e =
+  Net.Tcp.send_batch_buf b ~size:(encoded_wire_size e) (Corona e.e_msg)
 
 let rec pp ppf t =
   match t with

@@ -183,84 +183,61 @@ val decode_barrier_frame : string -> barrier_frame
 (** @raise Codec.Reader.Malformed on a corrupt frame. *)
 
 type encoded
-(** A message serialized exactly once: the cached encoding plus the
-    original message. The encode-once invariant: fan-out paths build one
-    [encoded] per logical message and share it across every recipient; its
-    wire size is derived from the cached encoding and never recomputed.
+(** A message encoded exactly once, for its size: the original message
+    plus its encoded length. The encode-once invariant: fan-out paths build
+    one [encoded] per logical message and share it across every recipient;
+    its wire size is never recomputed. Receivers get the message value, so
+    no bytes are produced — the length comes from a
+    {!Codec.Writer.counting} pass. *)
 
-    Built with a {!Pool}, the encoding is a scatter-gather {!Frame.t} of
-    pooled chunks and borrowed cached fragments instead of a fresh string;
-    the owner calls {!release_encoded} once the fan-out has issued, and
-    any later read of the bytes is a checked error. *)
-
-val pre_encode : ?pool:Pool.t -> t -> encoded
-(** Serialize now (one encode). With [pool], the buffers are leased, the
-    result is frame-backed, and the caller owes a {!release_encoded} (or
-    {!seal_encoded}). *)
+val pre_encode : t -> encoded
+(** Measure now (one encode in {!encode_count}). *)
 
 val encode_join_state : join_state -> string
-(** The bytes [enc_join_state] would contribute to a containing frame — the
-    shareable fragment of a [Join_accepted]. A server caches this across a
-    join storm and splices it into each per-joiner reply. *)
+(** The bytes [enc_join_state] contributes to a containing frame — the
+    shareable fragment of a [Join_accepted]. *)
+
+val join_state_size : join_state -> int
+(** [String.length (encode_join_state s)], from a counting pass. A server
+    caches this across a join storm and adds it to each per-joiner reply.
+    Not counted in {!encode_count}. *)
 
 val pre_encode_join_accepted :
-  ?pool:Pool.t ->
   group:Types.group_id ->
   at_seqno:int ->
   state:join_state ->
-  state_enc:string ->
+  state_size:int ->
   members:Types.member list ->
   multicast:bool ->
   unit ->
   encoded
-(** Build a [Join_accepted] frame by splicing a cached {!encode_join_state}
-    fragment ([state_enc], which must be the encoding of [state]) between
-    the per-joiner fields. Byte-identical to
-    [pre_encode (Response (Join_accepted ...))] (golden-pinned) but performs
-    no per-joiner serialization of the state payload — and with [pool], no
-    per-joiner copy of it either (borrowed segment). Counts as one encode
-    in {!encode_count}. *)
+(** A [Join_accepted] whose size adds a cached {!join_state_size}
+    ([state_size], which must be that of [state]) to the per-joiner fields.
+    Same {!encoded_wire_size} as [pre_encode (Response (Join_accepted ...))]
+    (property-tested) but performs no per-joiner pass over the state
+    payload. Counts as one encode in {!encode_count}. *)
 
 val pre_encode_relay_fanout :
-  ?pool:Pool.t ->
   group:Types.group_id ->
   ?exclude:Types.member_id ->
   inner:response ->
   inner_enc:encoded ->
   unit ->
   encoded
-(** Build a [Relay_fanout] frame by splicing the cached bytes of
-    [inner_enc] (which must be [pre_encode (Response inner)]) after the
-    per-fan-out fields. Byte-identical to
-    [pre_encode (Response (Relay_fanout ...))] (golden-pinned) but performs
-    no re-serialization of the inner response — the same bytes the direct
-    recipients got are shared across the relay hop (with [pool], shared
-    zero-copy: the relay frame borrows the inner frame's segments, so it
-    must be released or fully issued before the inner one). Counts as one
-    encode in {!encode_count}. *)
+(** A [Relay_fanout] whose size adds the cached length of [inner_enc]
+    (which must be [pre_encode (Response inner)]) to the per-fan-out fields.
+    Same {!encoded_wire_size} as [pre_encode (Response (Relay_fanout ...))]
+    (property-tested) but performs no second pass over the inner response.
+    Counts as one encode in {!encode_count}. *)
 
 val encoded_message : encoded -> t
 
 val encoded_bytes : encoded -> string
-(** The cached body bytes (no frame header). Materializes a frame-backed
-    encoding. @raise Pool.Lease_error after {!release_encoded}. *)
-
-val encoded_frame : encoded -> Frame.t option
-(** The backing frame of a pooled encoding ([None] if string-backed or
-    released) — for scatter-gather sinks and header peeks. *)
+(** The body bytes (no frame header), encoded on demand. Not counted in
+    {!encode_count}: it is for tests and benches, not the send path. *)
 
 val encoded_wire_size : encoded -> int
-(** Framed size, from the cached encoding — no re-encode. *)
-
-val release_encoded : Pool.t -> encoded -> unit
-(** Return a pooled encoding's chunks once its fan-out has issued (the
-    simulator passes messages by value past that point). Idempotent; a
-    no-op on string-backed encodings. A read through the encoding after
-    this raises {!Pool.Lease_error}. *)
-
-val seal_encoded : Pool.t -> encoded -> unit
-(** Materialize the bytes, then release the chunks: pins an encoding that
-    outlives its pool window (e.g. a transfer-cache entry). *)
+(** Framed size, from the cached length — no re-encode. *)
 
 val send_encoded : Net.Tcp.conn -> encoded -> unit
 (** Send a pre-encoded message, charging its cached wire size. *)
@@ -270,52 +247,18 @@ val send_batch_encoded : Net.Tcp.conn list -> encoded -> unit
     {!Net.Tcp.send_batch}: one batched fabric transmit, one delivery event
     per recipient. *)
 
-val send_batch_encoded_buf :
-  Net.Tcp.batch -> ?on_complete:(unit -> unit) -> encoded -> unit
+val send_batch_encoded_buf : Net.Tcp.batch -> encoded -> unit
 (** {!send_batch_encoded} over a reusable {!Net.Tcp.batch} — the
-    allocation-free fan-out path. [on_complete] fires once every recipient
-    reached a terminal outcome: the point where a frame-backed encoding may
-    be {!release_encoded}d. *)
+    allocation-free fan-out path. *)
 
-val wire_size : ?pool:Pool.t -> t -> int
-(** Framed size in bytes: 8-byte frame header + encoded body. Performs a
-    fresh serialization — on repeated-send paths use {!pre_encode} +
-    {!encoded_wire_size} instead. With [pool], the measuring encode runs
-    in leased buffers that are returned before this function does. *)
+val wire_size : t -> int
+(** Framed size in bytes: 8-byte frame header + encoded body, from a
+    counting pass (one encode in {!encode_count}) — on repeated-send paths
+    use {!pre_encode} + {!encoded_wire_size} instead. *)
 
-val send : ?pool:Pool.t -> Net.Tcp.conn -> t -> unit
+val send : Net.Tcp.conn -> t -> unit
 (** Send over a simulated connection, charging {!wire_size} bytes (one
-    serialization). For one-shot messages only; fan-outs use
-    {!send_encoded}. *)
-
-(** {2 Fixed-offset header peeks}
-
-    Routing layers that need only the message family, group, or stream
-    position read them at codec-pinned offsets instead of materializing
-    the whole record: byte 0 is the Request/Response discriminant, byte 1
-    the constructor tag, and the group string opens every group-bearing
-    body (except [Deliver]/[Shard_deliver], whose seqno-first offsets are
-    pinned too). Property-tested against full decodes in test_proto. *)
-
-type peeked = Peek_request of int | Peek_response of int
-(** Raw constructor tag, as written on the wire. *)
-
-val peek_kind : string -> peeked
-(** @raise Codec.Reader.Truncated or [Malformed] on a short/alien buffer. *)
-
-val peek_group : string -> Types.group_id option
-(** The group, for every group-bearing constructor; [None] otherwise. *)
-
-val peek_seqno : string -> int option
-(** Stream position of a [Deliver]/[Shard_deliver] frame. *)
-
-val peek_kind_frame : Frame.t -> peeked
-(** {!peek_kind} over a scatter-gather frame — a few byte loads, no
-    materialization. @raise Pool.Lease_error on a released frame. *)
-
-val peek_group_frame : Frame.t -> Types.group_id option
-
-val peek_seqno_frame : Frame.t -> int option
+    encode). For one-shot messages only; fan-outs use {!send_encoded}. *)
 
 val encode_count : unit -> int
 (** Number of whole-message serializations performed since start (or the

@@ -121,7 +121,6 @@ type t = {
   conn_of_member : (T.member_id, Net.Tcp.conn) Hashtbl.t;
   mutable client_conns : Net.Tcp.conn list;
   relay_hub : Corona.Relay_hub.t;
-  pool : Proto.Pool.t; (* hot-path frame buffers, leased per fan-out *)
   fan_batch : Net.Tcp.batch; (* fan-out fill buffer, refilled per fan-out *)
   (* request correlation *)
   pending_create :
@@ -322,7 +321,7 @@ and fan_local t rg ?exclude resp =
         | Some _ | None -> ())
     (Corona.Membership.entries rg.rg_local);
   let d =
-    Corona.Relay_hub.deliver t.relay_hub ~pool:t.pool ~group:rg.rg_id ?exclude
+    Corona.Relay_hub.deliver t.relay_hub ~group:rg.rg_id ?exclude
       ~inner:resp t.fan_batch
   in
   t.st <-
@@ -431,12 +430,12 @@ and complete_join t rg key (pj : pending_join) =
       let p = Corona.Transfer.prepare ~cache:t.transfer_cache log pj.pj_transfer in
       if Net.Tcp.is_open pj.pj_conn then begin
         let e =
-          match p.p_enc with
-          | Some state_enc ->
-              (* Join-storm path: splice the snapshot encoding shared by
-                 every concurrent joiner at this state version. *)
+          match p.p_enc_size with
+          | Some state_size ->
+              (* Join-storm path: reuse the snapshot size shared by every
+                 concurrent joiner at this state version. *)
               M.pre_encode_join_accepted ~group:rg.rg_id ~at_seqno:p.p_at
-                ~state:p.p_state ~state_enc ~members ~multicast:false ()
+                ~state:p.p_state ~state_size ~members ~multicast:false ()
           | None ->
               M.pre_encode
                 (M.Response
@@ -2213,7 +2212,6 @@ let create fabric node_host ?(config = default_config) ~storage ~server_list
       conn_of_member = Hashtbl.create 64;
       client_conns = [];
       relay_hub = Corona.Relay_hub.create ();
-      pool = Proto.Pool.create ();
       fan_batch = Net.Tcp.batch_create ();
       pending_create = Hashtbl.create 8;
       pending_delete = Hashtbl.create 8;

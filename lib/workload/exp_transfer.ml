@@ -82,7 +82,6 @@ type storm_result = {
   st_bytes : int;  (** join-state bytes served during the storm *)
   st_minor_words_per_join : float;
       (** minor-heap words allocated per completed join, whole world *)
-  st_pool : Proto.Pool.stats;  (** server buffer pool, cumulative at quiescence *)
 }
 
 let join_storm ?(seed = 29L) ~members () =
@@ -165,7 +164,6 @@ let join_storm ?(seed = 29L) ~members () =
       (Corona.Server.stats tb.Testbed.s_server).Corona.Server.state_transfer_bytes
       - bytes0;
     st_minor_words_per_join = minor_words /. float_of_int members;
-    st_pool = Corona.Server.pool_stats tb.Testbed.s_server;
   }
 
 (* --- durable-multicast throughput (WAL group commit) --------------------- *)
@@ -185,7 +183,6 @@ type durable_result = {
   du_max_batch : int;
   du_minor_words_per_bcast : float;
       (** minor-heap words per durable broadcast, whole world *)
-  du_pool : Proto.Pool.stats;  (** server buffer pool, cumulative at quiescence *)
 }
 
 let durable_multicast ?(seed = 31L) ~size ~records ~batching () =
@@ -236,5 +233,4 @@ let durable_multicast ?(seed = 31L) ~size ~records ~batching () =
     du_records_committed = cs.Storage.Wal.records_committed;
     du_max_batch = cs.Storage.Wal.max_batch_records;
     du_minor_words_per_bcast = minor_words /. float_of_int records;
-    du_pool = Corona.Server.pool_stats tb.Testbed.s_server;
   }

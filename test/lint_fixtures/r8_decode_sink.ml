@@ -1,6 +1,6 @@
 (* R8 corpus, decode side: copying header bytes out of a received frame on
-   a hot dispatch path defeats zero-copy decode — the dispatch fields can
-   be peeked in place. *)
+   a hot dispatch path allocates a fresh buffer per message, like any other
+   hot-path allocation. *)
 
 let dispatch_copied buf =
   let header = Bytes.sub buf 0 8 in

@@ -10,5 +10,5 @@ let build_frames msgs =
   ignore scratch;
   List.map String.uppercase_ascii msgs
 
-(* Silenced: stands in for a pooled buffer the hot path may lease. *)
+(* Silenced: stands in for a preallocated buffer the hot path may reuse. *)
 let pooled_frame n = (Bytes.create n [@corona.allow "R8"])

@@ -1,24 +1,7 @@
-(* Tests for the ordering substrate: Lamport clocks, vector clock laws,
-   causal delivery (BSS), and the sequencer hold-back queue. *)
+(* Tests for the ordering substrate: vector clock laws, causal delivery
+   (BSS), and the sequencer hold-back queue. *)
 
 module V = Ordering.Vclock
-
-(* --- lamport ---------------------------------------------------------- *)
-
-let test_lamport_basic () =
-  let c = Ordering.Lamport.create () in
-  Alcotest.(check int) "starts at 0" 0 (Ordering.Lamport.now c);
-  Alcotest.(check int) "tick" 1 (Ordering.Lamport.tick c);
-  Alcotest.(check int) "observe jumps past remote" 11 (Ordering.Lamport.observe c 10);
-  Alcotest.(check int) "observe old remote still advances" 12
-    (Ordering.Lamport.observe c 3)
-
-let test_lamport_stamps_total_order () =
-  let a = Ordering.Lamport.create () and b = Ordering.Lamport.create () in
-  let s1 = Ordering.Lamport.stamp a ~site:"a" in
-  let s2 = Ordering.Lamport.stamp b ~site:"b" in
-  (* Equal times break ties by site: the order is total either way. *)
-  Alcotest.(check bool) "comparable" true (Ordering.Lamport.Stamp.compare s1 s2 <> 0)
 
 (* --- vclock ------------------------------------------------------------- *)
 
@@ -394,11 +377,6 @@ let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "ordering"
     [
-      ( "lamport",
-        [
-          tc "tick and observe" `Quick test_lamport_basic;
-          tc "stamps totally ordered" `Quick test_lamport_stamps_total_order;
-        ] );
       ( "vclock",
         [
           tc "causal relations" `Quick test_vclock_relations;

@@ -428,267 +428,6 @@ let test_pre_encode_consistency () =
   done;
   Alcotest.(check int) "no re-encode on reuse" base (M.encode_count ())
 
-(* The snapshot cache splices a pre-serialized join-state fragment into a
-   Join_accepted frame; the result must be byte-identical to encoding the
-   whole message from scratch, or cached and uncached joiners would see
-   different wire bytes. *)
-let test_join_accepted_splice () =
-  let members = [ { T.member = "a"; role = T.Principal }; { T.member = "b"; role = T.Observer } ] in
-  List.iter
-    (fun state ->
-      let msg =
-        M.Response
-          (M.Join_accepted { group = "g"; at_seqno = 7; state; members; multicast = true })
-      in
-      let whole = M.pre_encode msg in
-      let spliced =
-        M.pre_encode_join_accepted ~group:"g" ~at_seqno:7 ~state
-          ~state_enc:(M.encode_join_state state) ~members ~multicast:true ()
-      in
-      Alcotest.(check string)
-        "spliced frame = whole-message encode" (M.encoded_bytes whole)
-        (M.encoded_bytes spliced);
-      (* and it must decode back to the same message *)
-      let decoded =
-        M.decode (Proto.Codec.Reader.of_string (M.encoded_bytes spliced))
-      in
-      Alcotest.(check string)
-        "decodes identically" (Format.asprintf "%a" M.pp msg)
-        (Format.asprintf "%a" M.pp decoded))
-    [
-      M.Snapshot { objects = [ ("o1", "v1"); ("o2", String.make 300 'x') ];
-                   log_tail = [ sample_update ] };
-      M.Snapshot { objects = []; log_tail = [] };
-      M.Update_history [ sample_update; sample_update ];
-    ]
-
-(* Same guarantee for the relay tier: the root splices the cached inner
-   response bytes into a Relay_fanout wrapper instead of re-encoding the
-   inner message per relay, and members behind a relay must see the exact
-   bytes a direct member would. *)
-let test_relay_fanout_splice () =
-  let inners =
-    [
-      M.Deliver sample_update;
-      M.Membership_changed
-        { group = "g"; change = T.Member_joined "b";
-          members =
-            [ { T.member = "a"; role = T.Principal };
-              { T.member = "b"; role = T.Observer } ] };
-      M.Group_deleted { group = "g" };
-    ]
-  in
-  List.iter
-    (fun exclude ->
-      List.iter
-        (fun inner ->
-          let msg = M.Response (M.Relay_fanout { group = "g"; exclude; inner }) in
-          let whole = M.pre_encode msg in
-          let inner_enc = M.pre_encode (M.Response inner) in
-          let before = M.encode_count () in
-          let spliced =
-            M.pre_encode_relay_fanout ~group:"g" ?exclude ~inner ~inner_enc ()
-          in
-          Alcotest.(check int) "splice costs exactly one encode" (before + 1)
-            (M.encode_count ());
-          Alcotest.(check string)
-            "spliced frame = whole-message encode" (M.encoded_bytes whole)
-            (M.encoded_bytes spliced);
-          let decoded =
-            M.decode (Proto.Codec.Reader.of_string (M.encoded_bytes spliced))
-          in
-          Alcotest.(check bool) "decodes identically" true (decoded = msg))
-        inners)
-    [ None; Some "alice" ]
-
-(* --- buffer pool: generation-stamped leases ------------------------------ *)
-
-module P = Proto.Pool
-
-(* Misuse must surface as [Lease_error], never as a read of recycled
-   bytes. *)
-let raises_lease_error f =
-  match f () with _ -> false | exception P.Lease_error _ -> true
-
-let test_pool_lease_reuse () =
-  let pool = P.create () in
-  let l1 = P.lease pool 100 in
-  Alcotest.(check bool) "live" true (P.valid l1);
-  Alcotest.(check bool) "capacity fits request" true (P.capacity l1 >= 100);
-  Bytes.set (P.bytes l1) 0 'x';
-  P.release pool l1;
-  Alcotest.(check bool) "dead after release" false (P.valid l1);
-  let l2 = P.lease pool 100 in
-  let st = P.stats pool in
-  Alcotest.(check int) "second lease is a shelf hit" 1 st.P.hits;
-  Alcotest.(check int) "one fresh slab" 1 st.P.misses;
-  Alcotest.(check int) "two leases" 2 st.P.leases;
-  Alcotest.(check int) "high water is one at a time" 1 st.P.high_water;
-  P.release pool l2;
-  Alcotest.(check int) "drained clean" 0 (P.leaked pool)
-
-let test_pool_double_release () =
-  let pool = P.create () in
-  let l = P.lease pool 64 in
-  P.release pool l;
-  Alcotest.(check bool) "second release is a checked error" true
-    (raises_lease_error (fun () -> P.release pool l));
-  let st = P.stats pool in
-  Alcotest.(check int) "only one release counted" 1 st.P.releases
-
-let test_pool_use_after_release () =
-  let pool = P.create () in
-  let l = P.lease pool 64 in
-  P.release pool l;
-  (* the slab may already be re-leased: every accessor must refuse *)
-  let fresh = P.lease pool 64 in
-  Alcotest.(check bool) "bytes after release" true
-    (raises_lease_error (fun () -> P.bytes l));
-  Alcotest.(check bool) "capacity after release" true
-    (raises_lease_error (fun () -> P.capacity l));
-  Alcotest.(check bool) "the recycled lease still works" true
-    (Bytes.length (P.bytes fresh) >= 64);
-  P.release pool fresh
-
-let test_pool_leak_at_drain () =
-  let pool = P.create () in
-  let l1 = P.lease pool 64 in
-  let l2 = P.lease pool 64 in
-  let l3 = P.lease pool 64 in
-  P.release pool l2;
-  let st = P.stats pool in
-  Alcotest.(check int) "outstanding" 2 st.P.outstanding;
-  Alcotest.(check int) "leaked = outstanding at drain" 2 (P.leaked pool);
-  Alcotest.(check int) "high water saw all three" 3 st.P.high_water;
-  P.release pool l1;
-  P.release pool l3;
-  Alcotest.(check int) "clean once everything is back" 0 (P.leaked pool)
-
-let test_pool_oversize () =
-  let pool = P.create ~classes:[| 64; 256 |] () in
-  let big = P.lease pool 100_000 in
-  Alcotest.(check bool) "oversize request served" true (P.capacity big >= 100_000);
-  Alcotest.(check int) "counted as oversize" 1 (P.stats pool).P.oversize;
-  P.release pool big;
-  let big2 = P.lease pool 100_000 in
-  (* one-shot slabs are not shelved: the second oversize lease is a miss *)
-  Alcotest.(check int) "oversize slabs never shelved" 0 (P.stats pool).P.hits;
-  P.release pool big2
-
-let prop_pool_stale_leases_always_checked =
-  QCheck.Test.make ~name:"stale leases always raise (generation stamps)" ~count:200
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 20) (int_range 1 512))
-    (fun sizes ->
-      let pool = P.create () in
-      let leases = List.map (P.lease pool) sizes in
-      List.iter (P.release pool) leases;
-      (* re-lease the same classes so most released slabs are live again
-         under a new generation; the old handles must all be refused *)
-      let fresh = List.map (P.lease pool) sizes in
-      let stale_checked =
-        List.for_all
-          (fun l -> (not (P.valid l)) && raises_lease_error (fun () -> P.bytes l))
-          leases
-      in
-      List.iter (P.release pool) fresh;
-      stale_checked && P.leaked pool = 0)
-
-(* Pooled scatter-gather frames must put exactly the PR 1–8 copied bytes on
-   the wire: the golden corpus re-run through a pool. *)
-let test_pooled_frames_byte_identical () =
-  let pool = P.create () in
-  List.iter
-    (fun (name, msg, expect) ->
-      let e = M.pre_encode ~pool msg in
-      Alcotest.(check string)
-        (name ^ " (pooled)") expect
-        (hex_of_string (M.encoded_bytes e));
-      M.release_encoded pool e)
-    golden_frames;
-  Alcotest.(check int) "no leases leaked by the corpus" 0 (P.leaked pool)
-
-let test_pooled_splices_byte_identical () =
-  let pool = P.create () in
-  let members = [ { T.member = "a"; role = T.Principal } ] in
-  let state =
-    M.Snapshot { objects = [ ("o1", "v1"); ("o2", String.make 300 'x') ];
-                 log_tail = [ sample_update ] }
-  in
-  let whole =
-    M.pre_encode
-      (M.Response
-         (M.Join_accepted { group = "g"; at_seqno = 7; state; members; multicast = false }))
-  in
-  let spliced =
-    M.pre_encode_join_accepted ~pool ~group:"g" ~at_seqno:7 ~state
-      ~state_enc:(M.encode_join_state state) ~members ~multicast:false ()
-  in
-  Alcotest.(check string)
-    "pooled join-accepted splice = copied encode" (M.encoded_bytes whole)
-    (M.encoded_bytes spliced);
-  M.release_encoded pool spliced;
-  let inner = M.Deliver sample_update in
-  let whole_fan =
-    M.pre_encode (M.Response (M.Relay_fanout { group = "g"; exclude = Some "alice"; inner }))
-  in
-  let inner_enc = M.pre_encode ~pool (M.Response inner) in
-  let fan =
-    M.pre_encode_relay_fanout ~pool ~group:"g" ~exclude:"alice" ~inner ~inner_enc ()
-  in
-  Alcotest.(check string)
-    "pooled relay-fanout splice = copied encode" (M.encoded_bytes whole_fan)
-    (M.encoded_bytes fan);
-  (* the fan-out frame borrows the inner frame's segments: release the
-     borrower first, then the owner *)
-  M.release_encoded pool fan;
-  M.release_encoded pool inner_enc;
-  Alcotest.(check int) "no leases leaked by the splices" 0 (P.leaked pool)
-
-(* Reading a pooled encoding after its release is a checked error, exactly
-   like a raw stale lease. *)
-let test_pooled_encoding_use_after_release () =
-  let pool = P.create () in
-  let e = M.pre_encode ~pool (M.Response (M.Deliver sample_update)) in
-  ignore (M.encoded_wire_size e);
-  M.release_encoded pool e;
-  Alcotest.(check bool) "bytes after release_encoded" true
-    (raises_lease_error (fun () -> M.encoded_bytes e))
-
-(* Header peeks are the decode-side half of zero-copy: the dispatch fields
-   read straight off the buffer must agree between the string and frame
-   variants, and with the full decode. *)
-let test_peek_consistency () =
-  let pool = P.create () in
-  let check_one msg =
-    let e = M.pre_encode ~pool msg in
-    let body = M.encoded_bytes e in
-    let frame = Option.get (M.encoded_frame e) in
-    let name = Format.asprintf "%a" M.pp msg in
-    (match (M.peek_kind body, msg) with
-    | M.Peek_request _, M.Request _ | M.Peek_response _, M.Response _ -> ()
-    | _ -> Alcotest.failf "peek_kind wrong family for %s" name);
-    Alcotest.(check bool)
-      ("peek_kind frame = string: " ^ name)
-      true
-      (M.peek_kind_frame frame = M.peek_kind body);
-    Alcotest.(check (option string))
-      ("peek_group frame = string: " ^ name)
-      (M.peek_group body) (M.peek_group_frame frame);
-    Alcotest.(check (option int))
-      ("peek_seqno frame = string: " ^ name)
-      (M.peek_seqno body) (M.peek_seqno_frame frame);
-    (match msg with
-    | M.Response (M.Deliver u) ->
-        Alcotest.(check (option int))
-          ("peek_seqno reads the stream position: " ^ name)
-          (Some u.T.seqno) (M.peek_seqno body)
-    | _ -> ());
-    M.release_encoded pool e
-  in
-  List.iter (fun r -> check_one (M.Request r)) all_request_samples;
-  List.iter (fun r -> check_one (M.Response r)) all_response_samples;
-  Alcotest.(check int) "no leases leaked by the peeks" 0 (P.leaked pool)
-
 (* --- property-based roundtrips over random messages ---------------------- *)
 
 let gen_string = QCheck.Gen.(string_size ~gen:printable (int_range 0 30))
@@ -797,6 +536,62 @@ let prop_wire_size_consistent =
       M.encode w msg;
       M.wire_size msg = 8 + W.size w)
 
+(* The snapshot cache adds one measured join-state size to each
+   per-joiner Join_accepted, and the relay tier adds the inner response's
+   cached length to each Relay_fanout wrapper: both must charge exactly
+   what measuring the whole message would, or cached and uncached joiners
+   (direct and relayed members) would pay different wire sizes. *)
+
+let gen_join_state =
+  let open QCheck.Gen in
+  oneof
+    [
+      map
+        (fun (objects, log_tail) -> M.Snapshot { objects; log_tail })
+        (pair
+           (list_size (int_range 0 6) (pair gen_string (string_size (int_range 0 400))))
+           (list_size (int_range 0 3) gen_update));
+      map (fun ups -> M.Update_history ups) (list_size (int_range 0 4) gen_update);
+    ]
+
+let gen_members =
+  QCheck.Gen.(
+    list_size (int_range 0 5)
+      (map (fun (member, role) -> { T.member; role }) (pair gen_string gen_role)))
+
+let prop_join_accepted_splice =
+  QCheck.Test.make ~name:"join-accepted splice size = whole encode" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         tup5 gen_string (int_range 0 1_000_000) gen_join_state gen_members bool))
+    (fun (group, at_seqno, state, members, multicast) ->
+      let state_size = M.join_state_size state in
+      let whole =
+        M.pre_encode
+          (M.Response (M.Join_accepted { group; at_seqno; state; members; multicast }))
+      in
+      let before = M.encode_count () in
+      let spliced =
+        M.pre_encode_join_accepted ~group ~at_seqno ~state ~state_size ~members
+          ~multicast ()
+      in
+      M.encode_count () = before + 1
+      && state_size = String.length (M.encode_join_state state)
+      && M.encoded_wire_size spliced = M.encoded_wire_size whole)
+
+let prop_relay_fanout_splice =
+  QCheck.Test.make ~name:"relay-fanout splice size = whole encode" ~count:300
+    (QCheck.make
+       QCheck.Gen.(triple gen_string (opt gen_string) gen_response))
+    (fun (group, exclude, inner) ->
+      let inner_enc = M.pre_encode (M.Response inner) in
+      let whole = M.pre_encode (M.Response (M.Relay_fanout { group; exclude; inner })) in
+      let before = M.encode_count () in
+      let spliced = M.pre_encode_relay_fanout ~group ?exclude ~inner ~inner_enc () in
+      M.encode_count () = before + 1
+      && M.encoded_wire_size inner_enc = 8 + String.length (M.encoded_bytes inner_enc)
+      && M.encoded_wire_size spliced = M.encoded_wire_size whole)
+
 let prop_decode_consumes_everything =
   QCheck.Test.make ~name:"decode consumes the full encoding" ~count:300 arb_message
     (fun msg ->
@@ -866,26 +661,13 @@ let () =
           tc "golden bytes (wire format pinned)" `Quick test_golden_bytes;
           tc "barrier frame golden bytes" `Quick test_barrier_frame_golden;
           tc "pre-encode consistency" `Quick test_pre_encode_consistency;
-          tc "join-accepted splice is byte-identical" `Quick test_join_accepted_splice;
-          tc "relay-fanout splice is byte-identical" `Quick test_relay_fanout_splice;
           tc "wire size scales with payload" `Quick test_wire_size_scales_with_payload;
           q prop_roundtrip;
           q prop_wire_size_consistent;
+          q prop_join_accepted_splice;
+          q prop_relay_fanout_splice;
           q prop_decode_consumes_everything;
           q prop_decode_garbage_never_crashes;
           q prop_truncated_encodings_never_crash;
-        ] );
-      ( "pool",
-        [
-          tc "lease/release reuses slabs" `Quick test_pool_lease_reuse;
-          tc "double release is a checked error" `Quick test_pool_double_release;
-          tc "use-after-release is a checked error" `Quick test_pool_use_after_release;
-          tc "leak detection at drain" `Quick test_pool_leak_at_drain;
-          tc "oversize slabs are one-shot" `Quick test_pool_oversize;
-          tc "pooled frames match the golden bytes" `Quick test_pooled_frames_byte_identical;
-          tc "pooled splices match copied encodes" `Quick test_pooled_splices_byte_identical;
-          tc "released encodings refuse reads" `Quick test_pooled_encoding_use_after_release;
-          tc "header peeks agree with full decode" `Quick test_peek_consistency;
-          q prop_pool_stale_leases_always_checked;
         ] );
     ]
