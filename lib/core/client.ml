@@ -207,7 +207,7 @@ let recent_updates replica ~from_seqno =
 (* --- multicast subscription (§5.3 hybrid mode) -------------------------- *)
 
 let mcast_channel t group =
-  Net.Multicast.channel t.fabric ~name:("corona-mcast:" ^ group)
+  Net.Multicast.channel t.fabric ~name:(Frontend.mcast_channel_name group)
 
 let rec subscribe_mcast t group =
   Net.Multicast.join (mcast_channel t group) t.host ~key:t.member

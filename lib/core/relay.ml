@@ -52,6 +52,7 @@ type t = {
   listener : Net.Tcp.listener option ref;
   downs : (int, down) Hashtbl.t; (* member conn id -> down *)
   groups : (Proto.Types.group_id, (int, down) Hashtbl.t) Hashtbl.t;
+  batch : Net.Tcp.batch; (* re-fan fill buffer, refilled per frame *)
   mutable st : stats;
   mutable alive : bool;
 }
@@ -134,7 +135,8 @@ let fan_out t ~group ~exclude ~inner =
       (* One local encode shared across the whole slice via the batched
          transmit — the relay-side half of the O(relays) encode bound. *)
       let e = M.pre_encode (M.Response inner) in
-      M.send_batch_encoded conns e);
+      List.iter (Net.Tcp.batch_add t.batch) conns;
+      M.send_batch_encoded_buf t.batch e);
   (match inner with
   | M.Group_deleted { group } ->
       (match Hashtbl.find_opt t.groups group with
@@ -247,6 +249,7 @@ let create fabric host ~relay ~root ?(root_port = 7000) ?(port = 7000)
       listener = ref None;
       downs = Hashtbl.create 1024;
       groups = Hashtbl.create 16;
+      batch = Net.Tcp.batch_create ();
       st =
         {
           fanouts_received = 0;

@@ -70,37 +70,21 @@ type t = {
   cfg : config;
   storage : Server_storage.t;
   groups : (T.group_id, group) Hashtbl.t;
-  conn_of_member : (T.member_id, Net.Tcp.conn) Hashtbl.t;
-  (* reverse index of [conn_of_member], keyed by connection id, so a
-     disconnect touches only the members of that connection *)
-  members_of_conn : (int, (T.member_id, unit) Hashtbl.t) Hashtbl.t;
+  fe : Frontend.t; (* clients, relays, fan-out and the join-state cache *)
   (* which groups a member currently belongs to, so a disconnect touches
      only those instead of scanning every group *)
   groups_of_member : (T.member_id, (T.group_id, unit) Hashtbl.t) Hashtbl.t;
   (* joins paused on §6 sender-assisted recovery: completed when that
      member's Resend arrives *)
   pending_recovery : (T.group_id * T.member_id, Net.Tcp.conn * T.transfer_spec) Hashtbl.t;
-  mutable client_conns : Net.Tcp.conn list;
   listener : Net.Tcp.listener option ref;
-  transfer_cache : Transfer.cache;
-  relay_hub : Relay_hub.t;
-  fan_batch : Net.Tcp.batch; (* fan-out fill buffer, refilled per broadcast *)
-  (* Stats as individual mutable fields: the hot loop bumps a counter with
-     a field store instead of re-allocating a record per event; the public
-     [stats] record is assembled on demand. *)
+  (* The server's own counters; delivery and response counts live in the
+     front end. The public [stats] record is assembled on demand. *)
   mutable s_requests_handled : int;
   mutable s_bcasts_sequenced : int;
-  mutable s_deliveries_sent : int;
-  mutable s_bytes_delivered : int;
-  mutable s_responses_sent : int;
-  mutable s_joins_served : int;
-  mutable s_state_transfer_bytes : int;
-  mutable s_relay_frames_sent : int;
 }
 
 let now t = Sim.Engine.now (Net.Fabric.engine t.fabric)
-
-let mcast_channel_name group = "corona-mcast:" ^ group
 
 let host t = t.server_host
 
@@ -110,17 +94,17 @@ let stats t =
   {
     requests_handled = t.s_requests_handled;
     bcasts_sequenced = t.s_bcasts_sequenced;
-    deliveries_sent = t.s_deliveries_sent;
-    bytes_delivered = t.s_bytes_delivered;
-    responses_sent = t.s_responses_sent;
-    joins_served = t.s_joins_served;
-    state_transfer_bytes = t.s_state_transfer_bytes;
-    relay_frames_sent = t.s_relay_frames_sent;
+    deliveries_sent = Frontend.deliveries t.fe;
+    bytes_delivered = Frontend.bytes_delivered t.fe;
+    responses_sent = Frontend.responses t.fe;
+    joins_served = Frontend.joins_served t.fe;
+    state_transfer_bytes = Frontend.transfer_bytes t.fe;
+    relay_frames_sent = Frontend.relay_frames t.fe;
   }
 
-let relay_hub t = t.relay_hub
+let relay_hub t = Frontend.relay_hub t.fe
 
-let connected_clients t = List.length (List.filter Net.Tcp.is_open t.client_conns)
+let connected_clients t = Frontend.connected_clients t.fe
 
 (* --- queries --------------------------------------------------------- *)
 
@@ -170,85 +154,6 @@ let group_base t id =
   | Some { g_keeper = Stateful log; _ } -> Some (State_log.base log)
   | Some { g_keeper = Stateless _; _ } | None -> None
 
-(* --- sending ---------------------------------------------------------
-
-   Encode-once invariant: every path that sends one logical message to
-   several recipients serializes it exactly once ([M.pre_encode]) and
-   shares the immutable encoding; the wire size comes from the cached
-   bytes. Control replies ([responses_sent]) are tallied separately from
-   sequenced-update deliveries ([deliveries_sent] / [bytes_delivered]). *)
-
-let send_encoded_response t conn e =
-  t.s_responses_sent <- t.s_responses_sent + 1;
-  M.send_encoded conn e
-
-let send_to_conn t conn response =
-  send_encoded_response t conn (M.pre_encode (M.Response response))
-
-let send_encoded_to_member t member e =
-  match Hashtbl.find_opt t.conn_of_member member with
-  | Some conn when Net.Tcp.is_open conn -> send_encoded_response t conn e
-  | Some _ | None -> ()
-
-let send_to_member t member response =
-  send_encoded_to_member t member (M.pre_encode (M.Response response))
-
-(* The open connections of a group's members in join order, minus [exclude]
-   and anything [skip] rejects: the recipient list handed to the batched
-   transmit, in the same order the per-member send loop used to walk. *)
-let no_skip (_ : T.member_id) = false
-
-let fill_batch t g ?exclude ?(skip = no_skip) () =
-  Net.Tcp.batch_clear t.fan_batch;
-  List.iter
-    (fun (m : Membership.entry) ->
-      let excluded =
-        match exclude with Some x -> x = m.member | None -> false
-      in
-      if not (excluded || skip m.member) then
-        (* Exception-based lookup: per recipient per bcast, so [find_opt]'s
-           [Some] would be a hot-loop allocation. *)
-        match Hashtbl.find t.conn_of_member m.member with
-        | conn -> if Net.Tcp.is_open conn then Net.Tcp.batch_add t.fan_batch conn
-        | exception Not_found -> ())
-    (Membership.entries g.g_members)
-
-(* Fan out to group members in join order, optionally skipping one:
-   one encode shared by all direct recipients, one spliced [Relay_fanout]
-   frame shared by every relay fronting proxied recipients. *)
-let fan_out t g ?exclude response =
-  fill_batch t g ?exclude ();
-  let d =
-    Relay_hub.deliver t.relay_hub ~group:g.g_id ?exclude
-      ~inner:response t.fan_batch
-  in
-  t.s_responses_sent <- t.s_responses_sent + d.Relay_hub.d_direct;
-  t.s_relay_frames_sent <- t.s_relay_frames_sent + d.Relay_hub.d_frames
-[@@corona.hot]
-
-let notify_membership_change t g change =
-  match Membership.notify_targets g.g_members with
-  | [] -> ()
-  | targets ->
-      let members = Membership.members g.g_members in
-      let changed = T.changed_member change in
-      Net.Tcp.batch_clear t.fan_batch;
-      List.iter
-        (fun m ->
-          if m <> changed then
-            match Hashtbl.find t.conn_of_member m with
-            | conn -> if Net.Tcp.is_open conn then Net.Tcp.batch_add t.fan_batch conn
-            | exception Not_found -> ())
-        targets;
-      let d =
-        Relay_hub.deliver t.relay_hub ~group:g.g_id ~exclude:changed
-          ~inner:(M.Membership_changed { group = g.g_id; change; members })
-          t.fan_batch
-      in
-      t.s_responses_sent <- t.s_responses_sent + d.Relay_hub.d_direct;
-      t.s_relay_frames_sent <- t.s_relay_frames_sent + d.Relay_hub.d_frames
-[@@corona.hot]
-
 (* --- group lifecycle ------------------------------------------------- *)
 
 let make_keeper t ~group ~persistent ~initial =
@@ -266,26 +171,7 @@ let make_keeper t ~group ~persistent ~initial =
   end
   else Stateless { next_seqno = 0 }
 
-(* --- member / connection indexes -------------------------------------- *)
-
-let bind_member_conn t member conn =
-  (match Hashtbl.find_opt t.conn_of_member member with
-  | Some old when Net.Tcp.id old <> Net.Tcp.id conn -> (
-      (* rejoin over a new connection: unhook from the old one's set *)
-      match Hashtbl.find_opt t.members_of_conn (Net.Tcp.id old) with
-      | Some set -> Hashtbl.remove set member
-      | None -> ())
-  | Some _ | None -> ());
-  Hashtbl.replace t.conn_of_member member conn;
-  let set =
-    match Hashtbl.find_opt t.members_of_conn (Net.Tcp.id conn) with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 4 in
-        Hashtbl.replace t.members_of_conn (Net.Tcp.id conn) s;
-        s
-  in
-  Hashtbl.replace set member ()
+(* --- member / group index ----------------------------------------------- *)
 
 let index_member_group t member group =
   let set =
@@ -306,7 +192,7 @@ let unindex_member_group t member group =
   | None -> ()
 
 let drop_group t g =
-  Transfer.invalidate t.transfer_cache g.g_id;
+  Transfer.invalidate (Frontend.transfer_cache t.fe) g.g_id;
   (match g.g_keeper with
   | Stateful log -> State_log.delete_durable log
   | Stateless _ -> ());
@@ -330,60 +216,27 @@ let remove_member t g member ~change =
       (fun (lock, next) ->
         match next with
         | Some next_holder ->
-            send_to_member t next_holder (M.Lock_granted { group = g.g_id; lock })
+            Frontend.to_member t.fe next_holder (M.Lock_granted { group = g.g_id; lock })
         | None -> ())
       (Locks.release_all g.g_locks ~member);
-    notify_membership_change t g change;
+    Frontend.notify t.fe ~group:g.g_id g.g_members change;
     handle_empty_group t g
   end
 
 (* --- state transfer (§3.2: customized per client) --------------------- *)
 
-(* Pace pre-encoded [State_chunk] frames at ~half the NIC rate so
-   interactive traffic interleaves — the QoS scheduler of [11] in its
-   simplest form. The frames themselves are shared: for full-snapshot
-   transfers they come out of the join-state cache, sliced and serialized
-   once per state version rather than per joiner per chunk. *)
-let send_chunked t conn ~frames ~finish =
-  let engine = Net.Fabric.engine t.fabric in
-  let pace chunk_bytes =
-    2.0 *. float_of_int chunk_bytes /. Net.Host.nic_bandwidth t.server_host
-  in
-  let rec send = function
-    | [] -> finish ()
-    | { Transfer.cf_frame; cf_bytes } :: rest ->
-        if Net.Tcp.is_open conn then begin
-          send_encoded_response t conn cf_frame;
-          ignore
-            (Sim.Engine.schedule engine ~delay:(pace cf_bytes) (fun () -> send rest))
-        end
-  in
-  send frames
-
 let join_state_for t keeper (transfer : T.transfer_spec) : Transfer.prepared =
   match keeper with
   | Stateless s -> Transfer.no_state ~at:s.next_seqno
-  | Stateful log -> Transfer.prepare ~cache:t.transfer_cache log transfer
+  | Stateful log -> Frontend.prepare t.fe log transfer
 
-(* One Join_accepted frame. Cache-served payloads add the shared state
-   size to the per-joiner fields; everything else pre-encodes the whole
-   frame. *)
-let join_accepted_frame ~group ~members ~multicast (p : Transfer.prepared) =
-  match p.p_enc_size with
-  | Some state_size ->
-      M.pre_encode_join_accepted ~group ~at_seqno:p.p_at ~state:p.p_state
-        ~state_size ~members ~multicast ()
-  | None ->
-      M.pre_encode
-        (M.Response
-           (M.Join_accepted
-              { group; at_seqno = p.p_at; state = p.p_state; members; multicast }))
-
-let transfer_cache_stats t = Transfer.cache_stats t.transfer_cache
+let transfer_cache_stats t = Transfer.cache_stats (Frontend.transfer_cache t.fe)
 
 (* --- request handling -------------------------------------------------- *)
 
-let fail t conn group reason = send_to_conn t conn (M.Request_failed { group; reason })
+let fail t conn group reason = Frontend.fail t.fe conn group reason
+
+let send_to_conn t conn response = Frontend.reply t.fe conn response
 
 let with_access t conn group decision k =
   match decision with
@@ -413,7 +266,7 @@ let handle_delete t conn ~group ~requester =
       match Hashtbl.find_opt t.groups group with
       | None -> fail t conn group "no such group"
       | Some g ->
-          fan_out t g (M.Group_deleted { group });
+          Frontend.fan_out t.fe ~group g.g_members (M.Group_deleted { group });
           drop_group t g;
           send_to_conn t conn (M.Group_deleted { group }))
 
@@ -427,7 +280,7 @@ let handle_join t conn ~group ~member ~role ~transfer ~notify =
       match Hashtbl.find_opt t.groups group with
       | None -> fail t conn group "no such group"
       | Some g -> (
-          bind_member_conn t member conn;
+          Frontend.bind t.fe member conn;
           Membership.add g.g_members ~member ~role ~notify ~joined_at:(now t);
           index_member_group t member group;
           let outcome =
@@ -440,7 +293,7 @@ let handle_join t conn ~group ~member ~role ~transfer ~notify =
                   (conn, T.Full_state);
                 send_to_conn t conn
                   (M.Resend_request { group; from_seqno = State_log.next_seqno log });
-                notify_membership_change t g (T.Member_joined member);
+                Frontend.notify t.fe ~group g.g_members (T.Member_joined member);
                 Join_deferred
             | (Stateful _ | Stateless _), _ -> Join_done
           in
@@ -454,36 +307,17 @@ let handle_join t conn ~group ~member ~role ~transfer ~notify =
               if multicast then Hashtbl.replace g.g_mcast_members member ()
               else Hashtbl.remove g.g_mcast_members member;
               let p = join_state_for t g.g_keeper transfer in
-              t.s_joins_served <- t.s_joins_served + 1;
-              t.s_state_transfer_bytes <- t.s_state_transfer_bytes + p.p_bytes;
               (* [lean_joins]: the per-joiner membership list is the one
                  O(members) cost left in a join at 100k scale — elide it. *)
               let members =
                 if t.cfg.lean_joins then [] else Membership.members g.g_members
               in
-              let accept p =
-                send_encoded_response t conn
-                  (join_accepted_frame ~group ~members ~multicast p)
+              let log =
+                match g.g_keeper with Stateful log -> Some log | Stateless _ -> None
               in
-              (match (t.cfg.transfer_chunk_bytes, p.p_state) with
-              | Some chunk, M.Snapshot { objects; log_tail }
-                when p.p_bytes > chunk ->
-                  let frames =
-                    match g.g_keeper with
-                    | Stateful log when p.p_full_snapshot ->
-                        Transfer.cached_chunk_frames t.transfer_cache log ~chunk
-                    | Stateful _ | Stateless _ ->
-                        Transfer.chunk_frames_of ~group ~objects ~chunk
-                  in
-                  send_chunked t conn ~frames ~finish:(fun () ->
-                      accept
-                        {
-                          p with
-                          p_state = M.Snapshot { objects = []; log_tail };
-                          p_enc_size = None;
-                        })
-              | (Some _ | None), _ -> accept p);
-              notify_membership_change t g (T.Member_joined member)))
+              Frontend.accept_join t.fe conn ~group ~members ~multicast
+                ?chunk:t.cfg.transfer_chunk_bytes ?log p;
+              Frontend.notify t.fe ~group g.g_members (T.Member_joined member)))
 
 let handle_leave t conn ~group ~member =
   match Hashtbl.find_opt t.groups group with
@@ -508,37 +342,8 @@ let handle_bcast t conn ~group ~sender ~kind ~obj ~data ~mode =
                 | T.Sender_inclusive -> None
               in
               let deliver (u : T.update) =
-                let mcast_reached = Hashtbl.length g.g_mcast_members in
-                if mcast_reached > 0 then begin
-                  (* One NIC transmission covers every subscribed member;
-                     sender exclusion for subscribed senders happens at the
-                     client. Deliveries count per subscriber reached. *)
-                  let e = M.pre_encode (M.Response (M.Deliver u)) in
-                  let wire = M.encoded_wire_size e in
-                  let chan =
-                    Net.Multicast.channel t.fabric ~name:(mcast_channel_name g.g_id)
-                  in
-                  t.s_deliveries_sent <- t.s_deliveries_sent + mcast_reached;
-                  t.s_bytes_delivered <- t.s_bytes_delivered + (mcast_reached * wire);
-                  Net.Multicast.send chan ~src:t.server_host ~size:wire
-                    (M.Corona (M.encoded_message e))
-                end;
-                fill_batch t g ?exclude
-                  ~skip:(fun m -> Hashtbl.mem g.g_mcast_members m)
-                  ();
-                (* One serialization shared by every point-to-point
-                   recipient; proxied recipients collapse to one spliced
-                   frame per relay. *)
-                let d =
-                  Relay_hub.deliver t.relay_hub ~group ?exclude
-                    ~inner:(M.Deliver u) t.fan_batch
-                in
-                t.s_deliveries_sent <- t.s_deliveries_sent + d.Relay_hub.d_direct;
-                t.s_bytes_delivered <-
-                  t.s_bytes_delivered + d.Relay_hub.d_direct_bytes
-                  + d.Relay_hub.d_frame_bytes;
-                t.s_relay_frames_sent <-
-                  t.s_relay_frames_sent + d.Relay_hub.d_frames
+                Frontend.deliver t.fe ~group ?exclude ~mcast:g.g_mcast_members
+                  g.g_members (M.Deliver u)
               in
               (match g.g_keeper with
               | Stateful log -> (
@@ -591,20 +396,14 @@ let handle_lock_release t conn ~group ~lock ~member =
           send_to_conn t conn (M.Lock_released { group; lock });
           (match next with
           | Some next_holder ->
-              send_to_member t next_holder (M.Lock_granted { group; lock })
+              Frontend.to_member t.fe next_holder (M.Lock_granted { group; lock })
           | None -> ()))
 
 let handle_reduce t conn ~group =
   match Hashtbl.find_opt t.groups group with
   | None -> fail t conn group "no such group"
   | Some { g_keeper = Stateless _; _ } -> fail t conn group "server keeps no state"
-  | Some { g_keeper = Stateful log; _ } ->
-      if State_log.log_length log = 0 then
-        send_to_conn t conn (M.Log_reduced { group; upto = State_log.snapshot_seqno log })
-      else
-        State_log.reduce log ~on_done:(fun ~upto ->
-            if Net.Tcp.is_open conn then
-              send_to_conn t conn (M.Log_reduced { group; upto }))
+  | Some { g_keeper = Stateful log; _ } -> Frontend.reduce_log t.fe conn ~group log
 
 let handle_request t conn (req : M.request) =
   t.s_requests_handled <- t.s_requests_handled + 1;
@@ -642,62 +441,23 @@ let handle_request t conn (req : M.request) =
           (match Hashtbl.find_opt t.pending_recovery (group, member) with
           | Some (conn', transfer) ->
               Hashtbl.remove t.pending_recovery (group, member);
-              if Net.Tcp.is_open conn' then begin
-                let p = join_state_for t g.g_keeper transfer in
-                t.s_joins_served <- t.s_joins_served + 1;
-                t.s_state_transfer_bytes <- t.s_state_transfer_bytes + p.p_bytes;
-                send_encoded_response t conn'
-                  (join_accepted_frame ~group
-                     ~members:(Membership.members g.g_members)
-                     ~multicast:(Hashtbl.mem g.g_mcast_members member)
-                     p)
-              end
+              if Net.Tcp.is_open conn' then
+                Frontend.accept_join t.fe conn' ~group
+                  ~members:(Membership.members g.g_members)
+                  ~multicast:(Hashtbl.mem g.g_mcast_members member)
+                  (join_state_for t g.g_keeper transfer)
           | None -> ())
       | Some { g_keeper = Stateless _; _ } | None -> ())
-  | M.Ping { nonce } -> send_to_conn t conn (M.Pong { nonce })
-  | M.Relay_register { relay } ->
-      let r = Relay_hub.register t.relay_hub ~relay ~conn ~at:(now t) in
-      send_to_conn t conn
-        (M.Relay_registered { relay; index = r.Relay_hub.r_index });
-      send_to_conn t conn
-        (M.Relay_slice
-           { relay; lo = r.Relay_hub.r_index; hi = r.Relay_hub.r_index + 1 })
-  | M.Relay_proxy { relay } -> Relay_hub.register_proxy t.relay_hub ~relay ~conn
-  | M.Relay_heartbeat { relay; members } ->
-      Relay_hub.heartbeat t.relay_hub ~relay ~members ~at:(now t)
+  | M.Ping _ | M.Relay_register _ | M.Relay_proxy _ | M.Relay_heartbeat _ ->
+      Frontend.control t.fe conn req
 
 (* A client connection died: clean up every group its member(s) joined.
    Graceful closes count as leaves; broken ones as crashes (§3.2 membership
    awareness distinguishes the two). The reverse indexes make this
    proportional to the member's own groups, not members × groups. *)
-let handle_disconnect t conn reason =
-  (match Relay_hub.conn_closed t.relay_hub conn with
-  | Relay_hub.Control r -> (
-      (* A relay died. Its proxied connections die with it, so the ordinary
-         per-member cleanup below handles the members; here the next alive
-         sibling is told it now fronts the dead relay's slice — the members
-         themselves fail over client-side and rejoin through it. *)
-      match Relay_hub.sibling t.relay_hub r with
-      | Some s when Net.Tcp.is_open s.Relay_hub.r_conn ->
-          send_to_conn t s.Relay_hub.r_conn
-            (M.Relay_slice
-               {
-                 relay = s.Relay_hub.r_id;
-                 lo = r.Relay_hub.r_index;
-                 hi = r.Relay_hub.r_index + 1;
-               })
-      | Some _ | None -> ())
-  | Relay_hub.Proxied _ | Relay_hub.Not_relay -> ());
-  t.client_conns <- List.filter (fun c -> Net.Tcp.id c <> Net.Tcp.id conn) t.client_conns;
-  let members_on_conn =
-    match Hashtbl.find_opt t.members_of_conn (Net.Tcp.id conn) with
-    | Some set -> Hashtbl.fold (fun member () acc -> member :: acc) set []
-    | None -> []
-  in
-  Hashtbl.remove t.members_of_conn (Net.Tcp.id conn);
+let handle_disconnect t reason members_on_conn =
   List.iter
     (fun member ->
-      Hashtbl.remove t.conn_of_member member;
       let change =
         match reason with
         | Net.Tcp.Graceful -> T.Member_left member
@@ -717,13 +477,11 @@ let handle_disconnect t conn reason =
       List.iter (fun g -> remove_member t g member ~change) member_groups)
     members_on_conn
 
+let always () = true
+
 let accept t conn =
-  t.client_conns <- conn :: t.client_conns;
-  Net.Tcp.set_on_close conn (fun reason -> handle_disconnect t conn reason);
-  Net.Tcp.set_receiver conn (fun ~size:_ payload ->
-      match payload with
-      | M.Corona (M.Request req) -> handle_request t conn req
-      | M.Corona (M.Response _) | _ -> ())
+  Frontend.accept t.fe conn ~live:always ~on_request:(handle_request t)
+    ~on_lost:(handle_disconnect t)
 
 let recover_groups t =
   List.iter
@@ -755,23 +513,12 @@ let create fabric server_host ?(config = default_config) ~storage () =
       cfg = config;
       storage;
       groups = Hashtbl.create 16;
-      conn_of_member = Hashtbl.create 64;
-      members_of_conn = Hashtbl.create 64;
+      fe = Frontend.create fabric server_host;
       groups_of_member = Hashtbl.create 64;
       pending_recovery = Hashtbl.create 4;
-      client_conns = [];
       listener = ref None;
-      transfer_cache = Transfer.create_cache ();
-      relay_hub = Relay_hub.create ();
-      fan_batch = Net.Tcp.batch_create ();
       s_requests_handled = 0;
       s_bcasts_sequenced = 0;
-      s_deliveries_sent = 0;
-      s_bytes_delivered = 0;
-      s_responses_sent = 0;
-      s_joins_served = 0;
-      s_state_transfer_bytes = 0;
-      s_relay_frames_sent = 0;
     }
   in
   if config.maintain_state then recover_groups t;
@@ -791,5 +538,4 @@ let shutdown t =
   | Some l -> Net.Tcp.close_listener l
   | None -> ());
   t.listener := None;
-  List.iter (fun c -> if Net.Tcp.is_open c then Net.Tcp.close c) t.client_conns;
-  t.client_conns <- []
+  Frontend.close_all t.fe

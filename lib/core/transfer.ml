@@ -171,6 +171,16 @@ let no_state ~at =
     p_full_snapshot = false;
   }
 
+let snapshot ~at objects =
+  {
+    p_state = M.Snapshot { objects; log_tail = [] };
+    p_at = at;
+    p_bytes = objects_bytes objects;
+    p_enc_size = None;
+    p_cache_hit = false;
+    p_full_snapshot = false;
+  }
+
 let prepare ?cache log (transfer : T.transfer_spec) =
   let at = State_log.next_seqno log in
   let full () =

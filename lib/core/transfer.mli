@@ -49,6 +49,10 @@ val prepare : ?cache:cache -> State_log.t -> Proto.Types.transfer_spec -> prepar
 val no_state : at:int -> prepared
 (** The empty transfer (stateless sequencer mode, [No_state]). *)
 
+val snapshot : at:int -> (Proto.Types.object_id * string) list -> prepared
+(** A full-snapshot payload of already materialized objects (a sharded
+    group's merged shard states), uncached. *)
+
 val join_state :
   State_log.t -> Proto.Types.transfer_spec -> Proto.Message.join_state * int
 (** [prepare] without a cache, returning payload and position — the

@@ -13,8 +13,9 @@
    while a dispatch that handles most-but-not-all constructors behind a
    wildcard is exactly the bug this rule exists for.
 
-   Scope: the dispatch layers (core/server.ml, core/client.ml,
-   replication/node.ml) plus everything outside lib/ (fixtures). *)
+   Scope: the dispatch layers (core/server.ml, core/frontend.ml,
+   core/client.ml, replication/node.ml) plus everything outside lib/
+   (fixtures). *)
 
 module C = Lint_ctx
 module I = Ast_iterator
@@ -59,7 +60,8 @@ let variant_sets units =
   List.rev !acc
 
 let active file =
-  C.has_suffix file "core/server.ml" || C.has_suffix file "core/client.ml"
+  C.has_suffix file "core/server.ml" || C.has_suffix file "core/frontend.ml"
+  || C.has_suffix file "core/client.ml"
   || C.has_suffix file "replication/node.ml"
   || not (C.contains file "lib/")
 

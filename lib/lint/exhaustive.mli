@@ -11,6 +11,6 @@ val variant_sets : (string * Parsetree.structure) list -> vset list
     corpus, submodules included. *)
 
 val run : Lint_ctx.t -> vset list -> Parsetree.structure -> unit
-(** Scan one file's matches (active in core/server.ml, core/client.ml,
-    replication/node.ml and everything outside lib/), reporting [R10]
-    findings into the context at the match location. *)
+(** Scan one file's matches (active in core/server.ml, core/frontend.ml,
+    core/client.ml, replication/node.ml and everything outside lib/),
+    reporting [R10] findings into the context at the match location. *)

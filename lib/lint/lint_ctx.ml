@@ -92,7 +92,8 @@ let create ~file =
     handler_active =
       not (under_lib file [ "sim"; "net"; "storage"; "ordering"; "workload"; "lint" ]);
     transfer_hot =
-      has_suffix file "core/server.ml" || under_lib file [ "replication" ]
+      has_suffix file "core/server.ml" || has_suffix file "core/frontend.ml"
+      || under_lib file [ "replication" ]
       || not (contains file "lib/");
     findings = [];
     suppressions = [];

@@ -159,38 +159,6 @@ let send c ~size payload =
     transmit_seq c seq size payload
   end
 
-(* Fan one payload out over many connections with a single batched fabric
-   transmit per sending host. Sequence numbers are assigned up front in list
-   order (identical to a [send] loop); retransmits after a drop fall back to
-   the chained single-connection path, which is fine — they are rare and not
-   on the fan-out hot path. *)
-let rec send_batch conns ~size payload =
-  match List.filter (fun c -> c.open_) conns with
-  | [] -> ()
-  | c0 :: _ as live ->
-      let mine, rest =
-        List.partition (fun c -> Host.name c.host = Host.name c0.host) live
-      in
-      let arr = Array.of_list mine in
-      let seqs =
-        Array.map
-          (fun c ->
-            let s = c.send_seq in
-            c.send_seq <- s + 1;
-            s)
-          arr
-      in
-      let dsts = Array.map (fun c -> (peer_exn c).host) arr in
-      Fabric.transmit_many c0.fabric ~src:c0.host ~size ~dsts
-        ~on_dropped:(fun i ->
-          let c = arr.(i) in
-          if c.open_ then
-            ignore
-              (Sim.Engine.schedule (engine_of c) ~delay:retransmit_timeout
-                 (fun () -> if c.open_ then transmit_seq c seqs.(i) size payload)))
-        (fun i -> deliver_to (peer_exn arr.(i)) seqs.(i) ~size payload);
-      if rest <> [] then send_batch rest ~size payload
-
 (* --- reusable fan-out batches ------------------------------------------ *)
 
 (* [batch] is a caller-owned fill buffer: clear, add the recipient
@@ -269,15 +237,17 @@ let new_inflight st =
   inf
 
 let send_batch_buf b ~size payload =
-  (* Compact the live connections in place, preserving order, and detect
-     the (rare) mixed-sender case on the way. *)
+  (* Compact the live connections in place, preserving order. Every
+     endpoint must sit on one sending host: a batch is one component's
+     fan-out, issued as one fabric transmit. *)
   let live = ref 0 in
-  let mixed = ref false in
   for i = 0 to b.ba_n - 1 do
     let c = b.ba_conns.(i) in
     if c.open_ then begin
-      if !live > 0 && Host.name c.host <> Host.name b.ba_conns.(0).host then
-        mixed := true;
+      if !live > 0 && Host.name c.host <> Host.name b.ba_conns.(0).host then begin
+        b.ba_n <- 0;
+        invalid_arg "Tcp.send_batch_buf: connections on several sending hosts"
+      end;
       b.ba_conns.(!live) <- c;
       incr live
     end
@@ -285,16 +255,6 @@ let send_batch_buf b ~size payload =
   b.ba_n <- !live;
   let n = !live in
   if n = 0 then ()
-  else if !mixed then begin
-    (* Endpoints on several sending hosts: fall back to the list path, one
-       batched transmit per host. *)
-    let conns = ref [] in
-    for i = n - 1 downto 0 do
-      conns := b.ba_conns.(i) :: !conns
-    done;
-    b.ba_n <- 0;
-    send_batch !conns ~size payload
-  end
   else begin
     let st = state b.ba_conns.(0).fabric in
     let inf =

@@ -50,14 +50,6 @@ val send : conn -> size:int -> Payload.t -> unit
     closed connection is a silent no-op (like writing to a broken socket
     whose error you ignore). *)
 
-val send_batch : conn list -> size:int -> Payload.t -> unit
-(** [send_batch conns ~size payload] sends one message on every open
-    connection in [conns], equivalent to a [send] loop (sequence numbers are
-    assigned in list order) but issued through {!Fabric.transmit_many}: one
-    batched fabric transmit per distinct sending host, so a fan-out costs one
-    scheduled delivery event per recipient instead of three. Closed
-    connections are skipped; retransmits after drops use the chained path. *)
-
 type batch
 (** A reusable fan-out fill buffer: clear it, add this broadcast's recipient
     connections, hand it to {!send_batch_buf}. One batch per sending
@@ -80,12 +72,17 @@ val batch_get : batch -> int -> conn
 
 val send_batch_buf :
   batch -> size:int -> Payload.t -> unit
-(** {!send_batch} over a reusable {!batch}: same semantics (sequence numbers
-    in add order, closed connections skipped, retransmits on the chained
-    path), but the per-broadcast recipient state is recycled through the
-    transport's freelist, so the steady-state hot loop allocates nothing.
-    The batch is cleared by the call — its fill array is swapped into the
-    in-flight record, not copied. *)
+(** [send_batch_buf b ~size payload] sends one message on every open
+    connection in [b], equivalent to a {!send} loop in add order (sequence
+    numbers assigned in that order) but issued as one
+    {!Fabric.transmit_many}: a fan-out costs one scheduled delivery event
+    per recipient instead of three. Closed connections are skipped;
+    retransmits after drops use the chained path. The per-broadcast
+    recipient state is recycled through the transport's freelist, so the
+    steady-state hot loop allocates nothing. The batch is cleared by the
+    call — its fill array is swapped into the in-flight record, not copied.
+    @raise Invalid_argument if the open connections' local endpoints sit on
+    more than one host (the batch is cleared first). *)
 
 val close : conn -> unit
 (** Graceful close; the peer's [on_close Graceful] fires after one latency. *)

@@ -629,7 +629,7 @@ let pre_encode_join_accepted ~group ~at_seqno ~state ~state_size ~members
 (* Relay fan-out splicing: the root measures the inner response once
    (shared with any direct recipients via [pre_encode]) and wraps it in one
    [Relay_fanout] frame per relay — the frame itself is then shared across
-   every relay control connection by [send_batch_encoded], so a broadcast
+   every relay control connection by [send_batch_encoded_buf], so a broadcast
    costs the root O(relays) transmits and exactly two encodes however many
    members sit behind the tier. *)
 let pre_encode_relay_fanout ~group ?exclude ~inner ~inner_enc () =
@@ -703,9 +703,6 @@ let wire_size t = frame_header_size + Codec.encoded_size encode t
 let send conn t = Net.Tcp.send conn ~size:(wire_size t) (Corona t)
 
 let send_encoded conn e = Net.Tcp.send conn ~size:(encoded_wire_size e) (Corona e.e_msg)
-
-let send_batch_encoded conns e =
-  Net.Tcp.send_batch conns ~size:(encoded_wire_size e) (Corona e.e_msg)
 
 let send_batch_encoded_buf b e =
   Net.Tcp.send_batch_buf b ~size:(encoded_wire_size e) (Corona e.e_msg)

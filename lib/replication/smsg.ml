@@ -307,7 +307,13 @@ let sized_size s = s.s_size
 
 let send_sized conn s = Net.Tcp.send conn ~size:s.s_size (Srv s.s_msg)
 
-let send_sized_batch conns s = Net.Tcp.send_batch conns ~size:s.s_size (Srv s.s_msg)
+type fan = Net.Tcp.batch
+
+let fan_create = Net.Tcp.batch_create
+
+let fan_add = Net.Tcp.batch_add
+
+let send_fan fan s = Net.Tcp.send_batch_buf fan ~size:s.s_size (Srv s.s_msg)
 
 let pp ppf = function
   | Heartbeat { from } -> Format.fprintf ppf "heartbeat from=%s" from

@@ -232,9 +232,18 @@ val sized_size : sized -> int
 
 val send_sized : Net.Tcp.conn -> sized -> unit
 
-val send_sized_batch : Net.Tcp.conn list -> sized -> unit
-(** Fan a pre-sized message out over many connections via
-    {!Net.Tcp.send_batch} (one batched fabric transmit). *)
+type fan
+(** A reusable recipient buffer for one server's mesh fan-outs: add the
+    recipient connections, then {!send_fan}. *)
+
+val fan_create : unit -> fan
+
+val fan_add : fan -> Net.Tcp.conn -> unit
+
+val send_fan : fan -> sized -> unit
+(** Send a pre-sized message to every connection added since the last
+    send, in add order, as one batched fabric transmit
+    ({!Net.Tcp.send_batch_buf}); empties the buffer. *)
 
 val pp : Format.formatter -> t -> unit
 (** Constructor name plus key fields, for traces. *)

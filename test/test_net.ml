@@ -460,6 +460,28 @@ let test_early_messages_buffered_until_receiver () =
       match payload with Net.Payload.Raw s -> got := s :: !got | _ -> ());
   Alcotest.(check (list string)) "flushed on install" [ "early" ] !got
 
+(* A batch is one component's fan-out, sent from one host as one fabric
+   transmit: endpoints local to two different hosts in one batch are a
+   caller bug and must be refused (with the batch emptied), while a
+   single-host batch reaches every open peer. *)
+let test_batch_refuses_mixed_senders () =
+  let engine, _, _, _, client, server = connect_pair () in
+  let got_client = ref 0 and got_server = ref 0 in
+  Net.Tcp.set_receiver client (fun ~size:_ _ -> incr got_client);
+  Net.Tcp.set_receiver server (fun ~size:_ _ -> incr got_server);
+  let b = Net.Tcp.batch_create () in
+  Net.Tcp.batch_add b client;
+  Net.Tcp.batch_add b server;
+  Alcotest.check_raises "mixed sending hosts"
+    (Invalid_argument "Tcp.send_batch_buf: connections on several sending hosts")
+    (fun () -> Net.Tcp.send_batch_buf b ~size:10 (Net.Payload.Raw "x"));
+  Alcotest.(check int) "batch emptied" 0 (Net.Tcp.batch_length b);
+  Net.Tcp.batch_add b client;
+  Net.Tcp.send_batch_buf b ~size:10 (Net.Payload.Raw "y");
+  Sim.Engine.run engine;
+  Alcotest.(check (pair int int)) "single-host batch delivered" (0, 1)
+    (!got_client, !got_server)
+
 let prop_tcp_fifo_random_traffic =
   (* Any mix of sizes under jitter arrives complete and in order. *)
   QCheck.Test.make ~name:"tcp: random sizes under jitter stay FIFO" ~count:100
@@ -637,6 +659,7 @@ let () =
           tc "crash notifies peer" `Quick test_tcp_crash_notifies_peer;
           tc "send on closed conn is noop" `Quick test_send_on_closed_conn_is_noop;
           tc "early messages buffered" `Quick test_early_messages_buffered_until_receiver;
+          tc "batch refuses mixed sending hosts" `Quick test_batch_refuses_mixed_senders;
           QCheck_alcotest.to_alcotest prop_tcp_fifo_random_traffic;
         ] );
       ( "multicast",
