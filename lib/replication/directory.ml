@@ -152,14 +152,6 @@ let remove_server t server =
     t.entries;
   (List.rev !lost_members, List.rev !need_copy)
 
-let notify_targets e =
-  List.filter_map
-    (fun m ->
-      match Hashtbl.find_opt e.e_members m with
-      | Some info when info.mi_notify -> Some (m, info.mi_server)
-      | Some _ | None -> None)
-    e.e_order
-
 let rebuild t reports =
   List.iter
     (fun (server, (r : Smsg.dir_report)) ->

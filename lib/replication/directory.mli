@@ -93,9 +93,6 @@ val remove_server :
     whose holder count fell below two, with a surviving holder to copy from
     — [None] when the last copy died). *)
 
-val notify_targets : entry -> (Proto.Types.member_id * Smsg.server_id) list
-(** Members subscribed to membership notifications, with their replicas. *)
-
 val rebuild : t -> (Smsg.server_id * Smsg.dir_report) list -> unit
 (** Directory recovery after coordinator failover: union the replicas'
     reports — membership is the union of local memberships, the sequence

@@ -223,6 +223,49 @@ let test_relaxed_membership_notification () =
   Alcotest.(check bool) "join completed" true !done_;
   Alcotest.(check int) "a notified exactly once" 1 !a_events
 
+(* §3.2: a member that joined with [notify = false] hears nothing about
+   later joins, while a subscribed member at the same replica does. Run
+   classic and sharded (where the view change rides a cross-shard
+   barrier). *)
+let quiet_member_not_notified ?config () =
+  let w = make_world ?config () in
+  let quiet = ref 0 and loud = ref 0 and done_ = ref false in
+  let count cell = fun _ -> function
+    | Corona.Client.Membership_changed { change = T.Member_joined "late"; _ } -> incr cell
+    | _ -> ()
+  in
+  (* idx 0 and 2 share a replica; idx 1 is served by the other one *)
+  connect w ~idx:0 ~member:"quiet" (fun q ->
+      Corona.Client.set_on_event q (count quiet);
+      Corona.Client.create_group q ~group:"g" ~k:(expect_ok "create") ();
+      Corona.Client.join q ~group:"g" ~notify:false
+        ~k:(fun r ->
+          ignore (expect_join "join quiet" r);
+          connect w ~idx:2 ~member:"loud" (fun l ->
+              Corona.Client.set_on_event l (count loud);
+              Corona.Client.join l ~group:"g"
+                ~k:(fun r ->
+                  ignore (expect_join "join loud" r);
+                  connect w ~idx:1 ~member:"late" (fun late ->
+                      Corona.Client.join late ~group:"g"
+                        ~k:(fun r ->
+                          ignore (expect_join "join late" r);
+                          done_ := true)
+                        ()))
+                ()))
+        ());
+  run ~until:20.0 w;
+  Alcotest.(check bool) "joins completed" true !done_;
+  Alcotest.(check int) "subscribed member notified" 1 !loud;
+  Alcotest.(check int) "notify=false member not notified" 0 !quiet
+
+let test_notify_false_respected () = quiet_member_not_notified ()
+
+let test_notify_false_respected_sharded () =
+  quiet_member_not_notified
+    ~config:{ Replication.Node.default_config with shards = 2 }
+    ()
+
 (* Kill the coordinator mid-run: the first replica takes over, pending
    broadcasts are re-sent, and the service continues. *)
 let test_coordinator_failover () =
@@ -582,6 +625,9 @@ let () =
           tc "replica crash re-replication" `Quick test_replica_crash_rereplication;
           tc "partition and reconcile" `Quick test_partition_and_reconcile;
           tc "server-side multicast fan-out" `Quick test_server_multicast_fanout;
+          tc "notify=false member stays quiet" `Quick test_notify_false_respected;
+          tc "notify=false member stays quiet, sharded" `Quick
+            test_notify_false_respected_sharded;
           tc "relaxed membership notification" `Quick
             test_relaxed_membership_notification;
           tc "locks across replicas" `Quick test_locks_across_replicas;

@@ -32,8 +32,6 @@ let test_directory_lifecycle () =
   Alcotest.(check int) "bumped" 10 (D.next_seqno e);
   D.bump_seqno e 3;
   Alcotest.(check int) "bump never lowers" 10 (D.next_seqno e);
-  Alcotest.(check (list (pair string string))) "notify targets"
-    [ ("a", "s2") ] (D.notify_targets e);
   (match D.leave d ~group:"g" ~member:"a" with
   | `Ok _ -> ()
   | _ -> Alcotest.fail "leave");
