@@ -76,7 +76,10 @@ let test_runner_deterministic () =
 
 (* Pinned replay digests: the MD5 of the whole client event trace of two
    smoke seeds per deployment kind (plus one relay seed under the
-   relay-crash hazard). The simulator is deterministic, so a refactor that
+   relay-crash hazard), and four failover seeds: replicated 6 (coordinator
+   crash and a lock cycle), replicated 14 (replica crash and lock cycles),
+   sharded 3 (coordinator crash, 4 shards, locks) and sharded 24
+   (coordinator crash and a lock). The simulator is deterministic, so a refactor that
    claims to preserve behaviour must keep every digest; a change that moves
    one changes what clients observe and must say so. *)
 let pinned_digests =
@@ -87,6 +90,10 @@ let pinned_digests =
     ("replicated", 17L, false, false, false, "0d3728a689cb37f21ab923f8071784c9");
     ("sharded", 2L, true, false, false, "4384fe0241e0b18150bd04ab93609855");
     ("sharded", 17L, true, false, false, "843d587b4a79245fc572b5fde7d54f96");
+    ("replicated", 6L, false, false, false, "26e730054f53431f84a9c5fc5d4bccd8");
+    ("replicated", 14L, false, false, false, "fd4155e52c4c2019256f4f8b1d0fbf11");
+    ("sharded", 3L, true, false, false, "47af6d43c8e6f207c76b2c9ed9ccb338");
+    ("sharded", 24L, true, false, false, "b7fd9cee508a403897f8c5d9c41994c0");
     ("relay", 5L, false, true, false, "2927762a8d56820598c23a4d18e09346");
     ("relay", 6L, false, true, false, "98d95e22afa014ab8e6fd94dde59eb5c");
     ("relay+crash", 2L, false, true, true, "6cafc62dfa2d158249418072427d8fed");
