@@ -204,24 +204,22 @@ let fan_out t ~group ?exclude members response =
 
 let mcast_channel_name group = "corona-mcast:" ^ group
 
-let deliver t ~group ?exclude ?mcast members response =
+let deliver t ~group ?exclude ~mcast members response =
+  let reached = Hashtbl.length mcast in
   let skip =
-    match mcast with
-    | None -> None
-    | Some subscribed ->
-        let reached = Hashtbl.length subscribed in
-        if reached > 0 then begin
-          (* One NIC transmission covers every subscribed member; sender
-             exclusion for subscribed senders happens at the client.
-             Deliveries count per subscriber reached. *)
-          let e = M.pre_encode (M.Response response) in
-          let wire = M.encoded_wire_size e in
-          let chan = Net.Multicast.channel t.fabric ~name:(mcast_channel_name group) in
-          t.deliveries <- t.deliveries + reached;
-          t.bytes_delivered <- t.bytes_delivered + (reached * wire);
-          Net.Multicast.send chan ~src:t.host ~size:wire (M.Corona (M.encoded_message e))
-        end;
-        Some (fun m -> Hashtbl.mem subscribed m)
+    if reached = 0 then None
+    else begin
+      (* One NIC transmission covers every subscribed member; sender
+         exclusion for subscribed senders happens at the client.
+         Deliveries count per subscriber reached. *)
+      let e = M.pre_encode (M.Response response) in
+      let wire = M.encoded_wire_size e in
+      let chan = Net.Multicast.channel t.fabric ~name:(mcast_channel_name group) in
+      t.deliveries <- t.deliveries + reached;
+      t.bytes_delivered <- t.bytes_delivered + (reached * wire);
+      Net.Multicast.send chan ~src:t.host ~size:wire (M.Corona (M.encoded_message e));
+      Some (fun m -> Hashtbl.mem mcast m)
+    end
   in
   fill t ?exclude ?skip members;
   (* One serialization shared by every point-to-point recipient; proxied

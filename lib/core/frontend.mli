@@ -36,6 +36,9 @@ val bind : t -> Proto.Types.member_id -> Net.Tcp.conn -> unit
 
 val connected_clients : t -> int
 
+val now : t -> float
+(** The simulation clock. *)
+
 val close_all : t -> unit
 (** Close every client connection. *)
 
@@ -71,13 +74,14 @@ val deliver :
   t ->
   group:Proto.Types.group_id ->
   ?exclude:Proto.Types.member_id ->
-  ?mcast:(Proto.Types.member_id, unit) Hashtbl.t ->
+  mcast:(Proto.Types.member_id, unit) Hashtbl.t ->
   Membership.t ->
   Proto.Message.response ->
   unit
 (** {!fan_out} for a sequenced update, counted as deliveries. Members in
-    [mcast] are reached by one transmission on the group's IP-multicast
-    channel instead of their TCP connection (§5.3 hybrid mode). *)
+    [mcast] (usually none) are reached by one transmission on the group's
+    IP-multicast channel instead of their TCP connection (§5.3 hybrid
+    mode). *)
 
 val notify :
   t ->

@@ -93,6 +93,7 @@ let create ~file =
       not (under_lib file [ "sim"; "net"; "storage"; "ordering"; "workload"; "lint" ]);
     transfer_hot =
       has_suffix file "core/server.ml" || has_suffix file "core/frontend.ml"
+      || has_suffix file "core/group.ml"
       || under_lib file [ "replication" ]
       || not (contains file "lib/");
     findings = [];

@@ -22,8 +22,8 @@
        (handler-named functions in the protocol layers).
    R7  snapshot-cache bypass: direct [Shared_state.objects] in the join /
        state-transfer hot paths (lib/core/server.ml, lib/core/frontend.ml,
-       lib/replication) pays a full materialize per call — go through
-       [Transfer] and its snapshot cache. *)
+       lib/core/group.ml, lib/replication) pays a full materialize per
+       call — go through [Transfer] and its snapshot cache. *)
 
 module I = Ast_iterator
 module C = Lint_ctx

@@ -1,8 +1,4 @@
-type member_info = {
-  mi_role : Proto.Types.role;
-  mi_notify : bool;
-  mi_server : Smsg.server_id;
-}
+type member_info = { mi_role : Proto.Types.role; mi_server : Smsg.server_id }
 
 type entry = {
   e_group : Proto.Types.group_id;
@@ -47,7 +43,15 @@ let members e =
         (Hashtbl.find_opt e.e_members m))
     e.e_order
 
-let member_info e m = Hashtbl.find_opt e.e_members m
+(* Exception-based lookup: read once per sequenced broadcast, where
+   [find_opt]'s [Some] would be a second allocation. *)
+let role_of e m =
+  match Hashtbl.find e.e_members m with
+  | i -> Some i.mi_role
+  | exception Not_found -> None
+
+let server_of e m =
+  match Hashtbl.find_opt e.e_members m with Some i -> Some i.mi_server | None -> None
 
 let locks e = e.e_locks
 
@@ -85,13 +89,12 @@ let add_group t ~group ~persistent ~first_holder =
 
 let remove_group t group = Hashtbl.remove t.entries group
 
-let join t ~group ~member ~role ~notify ~server =
+let join t ~group ~member ~role ~server =
   match find t group with
   | None -> `No_group
   | Some e ->
       if not (Hashtbl.mem e.e_members member) then e.e_order <- e.e_order @ [ member ];
-      Hashtbl.replace e.e_members member
-        { mi_role = role; mi_notify = notify; mi_server = server };
+      Hashtbl.replace e.e_members member { mi_role = role; mi_server = server };
       if List.mem server e.e_holders then begin
         recompute_replicas e;
         `Ok (e, None)
@@ -168,12 +171,13 @@ let rebuild t reports =
       in
       bump_seqno e r.dr_next_seqno;
       add_holder e server;
+      (* The notify flags in the report are the serving replica's business:
+         notification is decided where the member is served. *)
       List.iter
-        (fun ((m : Proto.Types.member), notify) ->
+        (fun ((m : Proto.Types.member), _notify) ->
           if not (Hashtbl.mem e.e_members m.member) then
             e.e_order <- e.e_order @ [ m.member ];
-          Hashtbl.replace e.e_members m.member
-            { mi_role = m.role; mi_notify = notify; mi_server = server })
+          Hashtbl.replace e.e_members m.member { mi_role = m.role; mi_server = server })
         r.dr_members;
       recompute_replicas e)
     reports

@@ -1,17 +1,11 @@
 (** The coordinator's group directory.
 
     Control state only — no shared-object payloads live here. For each group
-    it tracks: persistence, the global membership (with each member's role,
-    notify flag and serving replica), the {e holders} (replicas that keep a
+    it tracks: persistence, the global membership (with each member's role
+    and serving replica), the {e holders} (replicas that keep a
     copy of the group's shared state — the paper's invariant is at least two
     whenever possible, §4.1), the per-group sequence counter, and the
     group-wide lock table. *)
-
-type member_info = {
-  mi_role : Proto.Types.role;
-  mi_notify : bool;
-  mi_server : Smsg.server_id;
-}
 
 type entry
 
@@ -37,7 +31,10 @@ val holders : entry -> Smsg.server_id list
 val members : entry -> Proto.Types.member list
 (** Join order. *)
 
-val member_info : entry -> Proto.Types.member_id -> member_info option
+val role_of : entry -> Proto.Types.member_id -> Proto.Types.role option
+
+val server_of : entry -> Proto.Types.member_id -> Smsg.server_id option
+(** The replica serving the member. *)
 
 val locks : entry -> Corona.Locks.t
 
@@ -55,7 +52,6 @@ val join :
   group:Proto.Types.group_id ->
   member:Proto.Types.member_id ->
   role:Proto.Types.role ->
-  notify:bool ->
   server:Smsg.server_id ->
   [ `Ok of entry * Smsg.server_id option | `No_group ]
 (** Record the member; returns the entry and, when the serving replica is

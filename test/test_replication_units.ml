@@ -19,10 +19,10 @@ let test_directory_lifecycle () =
   Alcotest.(check bool) "duplicate rejected" true
     (D.add_group d ~group:"g" ~persistent:false ~first_holder:"s2" = `Exists);
   Alcotest.(check (list string)) "holders" [ "s1" ] (D.holders e);
-  (match D.join d ~group:"g" ~member:"a" ~role:T.Principal ~notify:true ~server:"s2" with
+  (match D.join d ~group:"g" ~member:"a" ~role:T.Principal ~server:"s2" with
   | `Ok (_, Some "s1") -> () (* s2 must fetch from s1 *)
   | _ -> Alcotest.fail "expected fetch source s1");
-  (match D.join d ~group:"g" ~member:"b" ~role:T.Observer ~notify:false ~server:"s2" with
+  (match D.join d ~group:"g" ~member:"b" ~role:T.Observer ~server:"s2" with
   | `Ok (_, None) -> () (* s2 already a holder *)
   | _ -> Alcotest.fail "expected no fetch");
   Alcotest.(check (list string)) "replicas" [ "s1"; "s2" ] (D.replicas_of e);
@@ -44,8 +44,8 @@ let test_directory_remove_server () =
     | `Ok e -> e
     | `Exists -> assert false
   in
-  ignore (D.join d ~group:"g" ~member:"a" ~role:T.Principal ~notify:false ~server:"s1");
-  ignore (D.join d ~group:"g" ~member:"b" ~role:T.Principal ~notify:false ~server:"s2");
+  ignore (D.join d ~group:"g" ~member:"a" ~role:T.Principal ~server:"s1");
+  ignore (D.join d ~group:"g" ~member:"b" ~role:T.Principal ~server:"s2");
   let lost, need_copy = D.remove_server d "s2" in
   Alcotest.(check (list (pair string (list string)))) "lost members"
     [ ("g", [ "b" ]) ] lost;
