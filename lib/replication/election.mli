@@ -6,8 +6,14 @@
     [k] simultaneous crashes — and points at the classical alternatives
     (Garcia-Molina's bully, ring elections). All three are implemented here
     against an abstract transport so the failover bench can compare messages
-    and latency; {!Node} embeds the list-order one over the real server
-    mesh. *)
+    and latency. {!Node} does not use this module: it runs its own
+    list-order claim over the real server mesh, which differs from
+    {!List_order} in two ways. A voter acks the earliest-listed claimant it
+    has seen (static list position) rather than the claimant of live rank
+    0, and the server of live rank [r] claims after [r × election_timeout]
+    where {!List_order} waits [(r+1) × base_timeout]. The two are kept
+    apart because the node's timing is what its pinned replay digests
+    record. *)
 
 type message =
   | Claim of { from : string }  (** list-order: "I am taking over" *)
